@@ -2,10 +2,10 @@
 
 The claim: on a cold cache, a repeated-path batch — every distinct trip
 appears ``REPEAT`` (>= 4) times, as commuter traffic repeats trips —
-answered through the deduplicating staged executor
-(``EngineConfig(dedup_subqueries=True)``) issues **at most half** the
-index scans of the per-trip sequential loop, and beats its wall-clock,
-while producing byte-identical histograms.
+answered as one ``query_many`` batch by the deduplicating executor
+issues **at most half** the index scans of the per-trip sequential
+loop, and beats its wall-clock, while producing byte-identical
+histograms.
 
 Method: the per-trip loop is the paper's Procedure 6, one uncached trip
 at a time (so every repeat re-scans everything).  The dedup batch runs
@@ -72,7 +72,7 @@ def test_cold_batch_dedup_halves_scans_and_beats_per_trip_loop(workload):
     ]
     requests = distinct * REPEAT
 
-    config = EngineConfig(dedup_subqueries=True)
+    config = EngineConfig()
 
     def per_trip_loop():
         """The paper's baseline: one uncached sequential trip at a time."""

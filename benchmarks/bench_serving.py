@@ -6,7 +6,7 @@ materially higher aggregate QPS than one sequential client — the
 PR-5 batch-dedup win, measured end to end through real sockets.
 
 Method: a :class:`~repro.server.BackgroundServer` fronts a session with
-dedup on and the sub-query cache off (so every answer above the
+the sub-query cache off (so every answer above the
 sequential baseline is round-sharing and round overlap, not a warm
 cache).  Phase one: a single client issues the repeated-path request
 list sequentially.  Phase two: ``CLIENTS`` threads, each with its own
@@ -70,7 +70,7 @@ def test_concurrent_clients_outpace_sequential_serving(workload):
     db = open_db(
         workload.index,
         network=workload.network,
-        config=EngineConfig(dedup_subqueries=True, cache_enabled=False),
+        config=EngineConfig(cache_enabled=False),
     )
     expected = {
         id(request): result.histogram

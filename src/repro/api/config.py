@@ -1,8 +1,7 @@
 """`EngineConfig`: one frozen, validated configuration object.
 
 Replaces the constructor-kwarg sprawl of
-:class:`repro.core.engine.QueryEngine` and
-:class:`repro.service.TravelTimeService`: everything that shapes *how*
+:class:`repro.core.engine.QueryEngine`: everything that shapes *how*
 queries are answered (partitioner, splitter, ladder, bucket width,
 estimator default, relaxation limits, serving knobs) lives here, is
 validated once at construction, and is hashable/comparable — so two
@@ -62,17 +61,8 @@ class EngineConfig:
         NOT compare equal — ROADMAP designates EngineConfig identity as
         part of the external cache-tier key.
     n_workers:
-        Default fan-out width for batch/stream execution.
-    dedup_subqueries:
-        Answer ``query_many``/``stream`` batches through the staged
-        deduplicating executor (:class:`repro.core.exec.BatchExecutor`):
-        the planned sub-queries of all in-flight trips are collected,
-        identical ``(path, interval, user, beta, exclude)`` tasks are
-        scanned once, and the answer fans out to every owning trip —
-        bit-identical to the per-trip loop, so this is serving plumbing
-        and excluded from :meth:`cache_identity`.  Off by default; the
-        win is cold-cache repeated-path batches (a warm shared cache
-        already deduplicates across sequential trips).
+        Default scan fan-out of batch/stream execution: each executor
+        round's unique scans are spread over this many threads.
     cache_enabled:
         Whether sessions build a shared cross-query
         :class:`~repro.service.SubQueryCache`.
@@ -128,7 +118,6 @@ class EngineConfig:
     shift_and_enlarge: bool = True
     beta_policy: Optional[BetaPolicy] = None
     n_workers: int = 1
-    dedup_subqueries: bool = False
     cache_enabled: bool = True
     cache_entries: Optional[int] = 65_536
     cache: Optional[str] = None
@@ -177,11 +166,6 @@ class EngineConfig:
         if self.cache_entries is not None and self.cache_entries < 1:
             raise ConfigurationError(
                 "cache_entries must be positive or None (unbounded)"
-            )
-        if not isinstance(self.dedup_subqueries, bool):
-            raise ConfigurationError(
-                "dedup_subqueries must be a bool; got "
-                f"{self.dedup_subqueries!r}"
             )
         if self.cache_store_entries is not None and (
             not isinstance(self.cache_store_entries, int)

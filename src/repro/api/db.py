@@ -15,19 +15,18 @@ sharded :class:`~repro.ShardedSNTIndex`, loaded transparently via
 :class:`~repro.api.EngineConfig`, and the shared cross-query
 :class:`~repro.service.SubQueryCache`.  All three batch surfaces —
 :meth:`TravelTimeDB.query`, :meth:`~TravelTimeDB.query_many`, and the
-streaming generator :meth:`~TravelTimeDB.stream` — answer bit-identically
-to sequential Procedure 6; they differ only in scheduling.
+streaming generator :meth:`~TravelTimeDB.stream` — run through the one
+deduplicating batch executor and answer bit-identically to sequential
+Procedure 6; they differ only in how requests are grouped into batches.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from itertools import islice
 from os import PathLike
 from pathlib import Path
 from typing import (
     Any,
-    Deque,
     Iterable,
     Iterator,
     List,
@@ -40,12 +39,12 @@ from typing import (
 
 from ..core.engine import QueryEngine, TripQueryResult
 from ..core.exec import DedupStats
+from ..core.spq import StrictPathQuery
 from ..errors import ConfigurationError, RequestValidationError
 from ..network.graph import RoadNetwork
 from ..network.io import load_network
 from ..service.cache import CacheStats
-from ..service.cachetier import CacheBackend
-from ..service.service import TravelTimeService, TripTask
+from ..service.cachetier import CacheBackend, resolve_cache_backend
 from ..sntindex.reader import IndexReader
 from ..sntindex.sharded import load_any_index
 from .config import EngineConfig
@@ -54,6 +53,9 @@ from .request import TripRequest
 __all__ = ["TravelTimeDB", "open_db"]
 
 PathSource = Union[str, PathLike]
+
+#: One batch item: (strict path query, excluded ids, estimator mode).
+TripTask = Tuple[StrictPathQuery, Tuple[int, ...], object]
 
 
 def _as_task(request: TripRequest) -> TripTask:
@@ -68,6 +70,24 @@ class TravelTimeDB:
     is LRU-bounded, and every public method is safe to call from
     multiple threads (the engine is stateless per call and the cache is
     locked).
+
+    Parameters
+    ----------
+    index, network:
+        The index reader (monolithic or sharded) and the road network
+        it was built over.
+    config:
+        An :class:`EngineConfig`; ``None`` uses defaults.
+    cache:
+        ``"default"`` resolves the backend from ``config`` (the
+        ``config.cache`` spec — in-process :class:`SubQueryCache`,
+        cross-process :class:`~repro.service.cachetier.SharedCacheTier`,
+        or none; with ``config.cache=None`` the ``cache_enabled`` /
+        ``cache_entries`` knobs apply); ``None`` disables cross-query
+        caching; or pass a backend directly to control its bounds or to
+        share one cache between sessions *over the same index and
+        network* — a cache binds permanently to the first (index,
+        network) pair it serves and rejects any other.
 
     Usable as a context manager; closing clears the shared cache.
     """
@@ -93,12 +113,18 @@ class TravelTimeDB:
         # sessions over the same index; only a session-built cache is
         # cleared on close().
         self._owns_cache = cache == "default"
-        self._service = TravelTimeService(
-            index,
-            cast(RoadNetwork, network),
-            cache=cache,
-            config=self._config,
+        if self._owns_cache:
+            cache = resolve_cache_backend(self._config, index)
+        elif isinstance(cache, str):
+            raise ConfigurationError(
+                f"cache must be a cache backend (SubQueryCache / "
+                f"SharedCacheTier), None, or 'default'; got {cache!r}"
+            )
+        self._cache = cast(Optional[CacheBackend], cache)
+        self._engine = QueryEngine(
+            index, network, self._config, cache=self._cache
         )
+        self._last_dedup_stats = DedupStats()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -106,11 +132,11 @@ class TravelTimeDB:
 
     @property
     def index(self) -> IndexReader:
-        return cast(IndexReader, self._service.index)
+        return cast(IndexReader, self._engine.index)
 
     @property
     def network(self) -> Optional[RoadNetwork]:
-        return cast(Optional[RoadNetwork], self._service.network)
+        return cast(Optional[RoadNetwork], self._engine.network)
 
     @property
     def config(self) -> EngineConfig:
@@ -119,30 +145,29 @@ class TravelTimeDB:
     @property
     def engine(self) -> QueryEngine:
         """The underlying engine (advanced use; prefer the db methods)."""
-        return cast(QueryEngine, self._service.engine)
+        return self._engine
 
     def cache_stats(self) -> Optional[CacheStats]:
         """Shared-cache statistics, or ``None`` when caching is off."""
-        return cast(
-            Optional[CacheStats], self._service.cache_stats()
-        )
+        if self._cache is None:
+            return None
+        return self._cache.stats()
 
     @property
-    def last_dedup_stats(self) -> Optional[DedupStats]:
-        """Dedup accounting of the most recent batch.
+    def last_dedup_stats(self) -> DedupStats:
+        """Dedup accounting of the most recent batch (or whole stream).
 
-        Populated when ``config.dedup_subqueries`` routed the batch
-        through the deduplicating executor: how many sub-queries the
-        batch planned, how many were unique, and how many scans the
-        deduplication absorbed.  ``None`` before the first such batch
-        (or after one that ran without dedup).
+        How many sub-queries the batch planned, how many were unique,
+        how many the cache answered, and how many scans the
+        deduplication absorbed; all zeros before the first batch.
+        Last-writer-wins across concurrent batches — take the stats from
+        :meth:`query_many_with_stats` when that matters.
         """
-        return cast(
-            Optional[DedupStats], self._service.last_dedup_stats
-        )
+        return self._last_dedup_stats
 
     def clear_cache(self) -> None:
-        self._service.clear_cache()
+        if self._cache is not None:
+            self._cache.clear()
 
     def __enter__(self) -> "TravelTimeDB":
         return self
@@ -161,8 +186,8 @@ class TravelTimeDB:
         is left untouched — other sessions may still be serving warm
         hits from it.  Use :meth:`clear_cache` to empty one explicitly.
         """
-        if self._owns_cache:
-            self._service.close_cache()
+        if self._owns_cache and self._cache is not None:
+            self._cache.close()
 
     def __repr__(self) -> str:
         return (
@@ -178,58 +203,45 @@ class TravelTimeDB:
     def query(self, request: TripRequest) -> TripQueryResult:
         """Answer one :class:`TripRequest` through the shared cache."""
         # engine.query guards the request type itself.
-        return cast(
-            TripQueryResult, self.engine.query(request)
-        )
+        return cast(TripQueryResult, self._engine.query(request))
 
     def query_many(
         self,
         requests: Sequence[TripRequest],
         n_workers: Optional[int] = None,
-        use_processes: bool = False,
     ) -> List[TripQueryResult]:
         """Answer a batch of independent requests.
 
-        Results come back in submission order regardless of worker count
-        or execution mode.  With ``config.dedup_subqueries`` the batch
-        runs through the deduplicating staged executor (identical
-        sub-queries scanned once; accounting in
-        :attr:`last_dedup_stats`).  ``use_processes`` fans out over
-        forked worker processes instead (Linux/macOS; see
-        :meth:`repro.service.TravelTimeService._run_batch_forked` for
-        the quiescing contract).
+        The batch runs through the deduplicating executor: identical
+        sub-queries are scanned once per round, and each round's scans
+        fan out over ``n_workers`` threads (default
+        ``config.n_workers``).  Results come back in submission order;
+        the accounting lands in :attr:`last_dedup_stats`.
         """
-        results, _ = self.query_many_with_stats(
-            requests, n_workers=n_workers, use_processes=use_processes
-        )
+        results, _ = self.query_many_with_stats(requests, n_workers=n_workers)
         return results
 
     def query_many_with_stats(
         self,
         requests: Sequence[TripRequest],
         n_workers: Optional[int] = None,
-        use_processes: bool = False,
-    ) -> Tuple[List[TripQueryResult], Optional[DedupStats]]:
+    ) -> Tuple[List[TripQueryResult], DedupStats]:
         """:meth:`query_many`, also returning this batch's dedup stats.
 
         :attr:`last_dedup_stats` is last-writer-wins, so a caller
         running *concurrent* batches over one session — the HTTP
         serving tier's collection rounds — must take the accounting
         from the return value, where it cannot be clobbered by another
-        batch.  ``None`` when the batch did not run through the
-        deduplicating executor (``config.dedup_subqueries`` off, or
-        process fan-out).
+        batch.
         """
+        workers = self._workers(n_workers)
         requests = list(requests)
         for request in requests:
             self._check_request(request)
-        batch = self._service._run_batch_with_stats(
-            [_as_task(r) for r in requests],
-            n_workers=n_workers,
-            use_processes=use_processes,
+        results, stats = self._engine.run_batch(
+            [_as_task(r) for r in requests], n_workers=workers
         )
-        results = cast(List[TripQueryResult], batch[0])
-        stats = cast(Optional[DedupStats], batch[1])
+        self._last_dedup_stats = stats
         for request, result in zip(requests, results):
             result.request = request
         return results, stats
@@ -242,103 +254,47 @@ class TravelTimeDB:
     ) -> Iterator[TripQueryResult]:
         """Answer a request stream, yielding results in request order.
 
-        An order-preserving generator over an *iterable* of requests:
-        at most ``window`` requests (default ``4 x n_workers``) are
-        in flight at once, so a million-request batch is answered with
-        bounded memory — results are yielded as the worker fan-out
-        completes them, never materialised as a list, and the input
-        iterable is consumed lazily as capacity frees up.
-
-        With ``n_workers=1`` execution stays on the calling thread
-        (fully lazy: one request is answered per ``next()``).
-
-        With ``config.dedup_subqueries`` the stream is answered in
-        ``window``-sized chunks through the deduplicating batch
-        executor: each chunk's sub-queries are collected, identical
-        tasks are scanned once, and results still come back in request
-        order with at most ``window`` requests materialised.
+        An order-preserving generator over an *iterable* of requests,
+        answered in ``window``-sized :meth:`query_many` batches: at most
+        ``window`` requests are materialised at once, so a
+        million-request stream is answered with bounded memory, and the
+        input iterable is consumed lazily, one window at a time.  The
+        default window is one request with one worker (fully lazy: one
+        request is answered per ``next()``) and ``4 x n_workers``
+        otherwise.  :attr:`last_dedup_stats` aggregates over the whole
+        stream.
         """
-        workers = self._config.n_workers if n_workers is None else n_workers
-        if workers < 1:
-            raise ConfigurationError("n_workers must be positive")
+        workers = self._workers(n_workers)
         if window is None:
-            window = workers * 4
+            window = 1 if workers == 1 else workers * 4
         if window < 1:
             raise ConfigurationError("window must be positive")
-        if self._config.dedup_subqueries:
-            # window=1 degenerates to per-request chunks — no cross-trip
-            # dedup to find, but the stats stay coherent per stream.
-            return self._stream_dedup(requests, workers, window)
-        if workers == 1:
-            return (
-                self.query(request) for request in requests
-            )
-        return self._stream_fanout(requests, workers, window)
+        return self._stream(requests, workers, window)
 
-    def _stream_dedup(
+    def _stream(
         self,
         requests: Iterable[TripRequest],
         workers: int,
         window: int,
     ) -> Iterator[TripQueryResult]:
-        """Chunked dedup streaming: one executor batch per window.
-
-        :attr:`last_dedup_stats` aggregates over the whole stream — the
-        chunks are a scheduling detail, and per-chunk numbers would
-        misreport a long stream as its final ``window`` requests.
-        """
-        from itertools import islice
-
         total = DedupStats()
         iterator = iter(requests)
         while True:
             chunk = list(islice(iterator, window))
             if not chunk:
                 return
-            for request in chunk:
-                self._check_request(request)
-            batch = self._service._run_batch_with_stats(
-                [_as_task(r) for r in chunk], n_workers=workers
+            results, stats = self.query_many_with_stats(
+                chunk, n_workers=workers
             )
-            results = cast(List[TripQueryResult], batch[0])
-            chunk_stats = cast(Optional[DedupStats], batch[1])
-            if chunk_stats is not None:
-                total.absorb(chunk_stats)
-                self._service.last_dedup_stats = total
-            for request, result in zip(chunk, results):
-                result.request = request
-                yield result
+            total.absorb(stats)
+            self._last_dedup_stats = total
+            yield from results
 
-    def _stream_fanout(
-        self,
-        requests: Iterable[TripRequest],
-        workers: int,
-        window: int,
-    ) -> Iterator[TripQueryResult]:
-        def answer(request: TripRequest) -> TripQueryResult:
-            # self.query validates and attaches the request back-ref;
-            # the engine-bound shared cache serves all workers.
-            return self.query(request)
-
-        iterator = iter(requests)
-        pool: Executor = ThreadPoolExecutor(max_workers=workers)
-        try:
-            pending: Deque["Future[TripQueryResult]"] = deque()
-            for request in iterator:
-                pending.append(pool.submit(answer, request))
-                if len(pending) >= window:
-                    break
-            while pending:
-                result = pending.popleft().result()
-                # Refill before yielding so the pool stays saturated
-                # while the consumer processes this result.
-                for request in iterator:
-                    pending.append(pool.submit(answer, request))
-                    break
-                yield result
-        finally:
-            # On early generator close, drop unconsumed work quickly.
-            pool.shutdown(wait=True, cancel_futures=True)
+    def _workers(self, n_workers: Optional[int]) -> int:
+        workers = self._config.n_workers if n_workers is None else n_workers
+        if workers < 1:
+            raise ConfigurationError("n_workers must be positive")
+        return workers
 
     def _check_request(self, request: TripRequest) -> None:
         if not isinstance(request, TripRequest):
@@ -348,8 +304,7 @@ class TravelTimeDB:
             raise RequestValidationError(
                 "expected a TripRequest; got "
                 f"{type(request).__name__} — legacy StrictPathQuery "
-                "callers should use TripRequest.from_spq(...) or the "
-                "deprecated TravelTimeService methods"
+                "callers should use TripRequest.from_spq(...)"
             )
 
 
@@ -380,11 +335,10 @@ def open_db(
     config:
         An :class:`EngineConfig`; ``None`` uses defaults.
     cache:
-        As for :class:`repro.service.TravelTimeService`: ``"default"``
-        resolves the backend from ``config`` (its ``cache`` spec can
-        select the cross-process shared tier), ``None`` disables
-        cross-query caching, or pass a backend
-        (:class:`SubQueryCache` /
+        As for :class:`TravelTimeDB`: ``"default"`` resolves the backend
+        from ``config`` (its ``cache`` spec can select the cross-process
+        shared tier), ``None`` disables cross-query caching, or pass a
+        backend (:class:`SubQueryCache` /
         :class:`~repro.service.cachetier.SharedCacheTier`) directly.
     """
     if path_or_index is None:

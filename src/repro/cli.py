@@ -14,9 +14,9 @@ Commands
     Build the SNT-index over a stored world and save it to disk, so
     later ``query``/``batch`` runs skip the build.
 ``batch``
-    Answer a file (or inline list) of strict path queries through the
-    :class:`~repro.service.TravelTimeService` — shared sub-query cache,
-    optional thread-pool fan-out.
+    Answer a file (or inline list) of strict path queries as one
+    deduplicated batch — shared sub-query cache, optional thread-pool
+    scan fan-out.
 ``serve``
     Serve a stored world over HTTP: concurrent connections are
     multiplexed onto shared dedup rounds (``POST /v1/query``,
@@ -203,7 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--window-min", type=int, default=15)
     batch.add_argument("--beta", type=int, default=None)
-    batch.add_argument("--workers", type=int, default=1)
+    batch.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads scanning each round's unique sub-queries",
+    )
     batch.add_argument(
         "--repeat",
         type=int,
@@ -219,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="answer through the cross-process shared cache tier stored "
-        "in this directory (created if missing); separate runs — and "
-        "forked workers — warm each other's caches",
+        "in this directory (created if missing); separate runs warm "
+        "each other's caches",
     )
     batch.add_argument(
         "--partitioner", default="pi_Z", choices=PARTITIONER_NAMES
@@ -239,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream results as they complete (order-preserving; the "
         "batch is never materialised as a list)",
-    )
-    batch.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable cross-trip sub-query deduplication (the batch "
-        "executor scans each distinct sub-query once per batch by "
-        "default; answers are bit-identical either way)",
     )
 
     serve = commands.add_parser(
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="engine worker threads inside each round",
+        help="threads scanning each round's unique sub-queries",
     )
     serve.add_argument(
         "--no-cache",
@@ -638,7 +636,6 @@ def _cmd_batch(args) -> int:
             partitioner=args.partitioner,
             splitter=args.splitter,
             n_workers=args.workers,
-            dedup_subqueries=not args.no_dedup,
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None
@@ -648,8 +645,8 @@ def _cmd_batch(args) -> int:
     )
     started = time.perf_counter()
     if args.stream:
-        # Order-preserving streaming: each answer prints as the fan-out
-        # completes it; the warm-up repeats run first so the printed
+        # Order-preserving streaming: each answer prints as its window
+        # completes; the warm-up repeats run first so the printed
         # (final) pass reflects the warmed cache like the batched path.
         for _ in range(args.repeat - 1):
             for _result in db.stream(requests):
@@ -658,7 +655,7 @@ def _cmd_batch(args) -> int:
         for (path_text, _), result in zip(specs, db.stream(requests)):
             # Stamp elapsed at each arrival so the final print is
             # outside the window.  Earlier prints necessarily interleave
-            # with in-flight workers — that consumer I/O is part of what
+            # with the stream's windows — that consumer I/O is part of what
             # streaming measures, so q/s here can trail the batched mode
             # on a slow terminal.
             elapsed = time.perf_counter() - started
@@ -678,9 +675,7 @@ def _cmd_batch(args) -> int:
     stats = db.cache_stats()
     if stats is not None:
         print(f"cache: {stats.summary()}")
-    dedup = db.last_dedup_stats
-    if dedup is not None:
-        print(f"dedup: {dedup.summary()}")
+    print(f"dedup: {db.last_dedup_stats.summary()}")
     tier_stats = getattr(db.engine.cache, "tier_stats", None)
     if tier_stats is not None:
         print(f"shared tier: {tier_stats().summary()}")
@@ -712,7 +707,6 @@ def _cmd_serve(args) -> int:
             partitioner=args.partitioner,
             splitter=args.splitter,
             n_workers=args.workers,
-            dedup_subqueries=True,
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None

@@ -13,10 +13,11 @@ Pipeline per query (Figure 2), run as an explicit staged pipeline:
 3. **combine** — the Histogram Builder turns each travel-time set into a
    histogram and convolves them into the answer for the full path.
 
-The engine itself is a thin driver over those stages: :meth:`query`
-drives one :class:`~repro.core.exec.TripMachine` sequentially, and
-:meth:`run_batch` drives many through the deduplicating
-:class:`~repro.core.exec.BatchExecutor`.
+The engine itself is a thin driver over those stages: every query —
+:meth:`QueryEngine.query` is a batch of one — runs through
+:meth:`QueryEngine.run_batch`, which builds one
+:class:`~repro.core.exec.TripMachine` per trip and drives them with the
+deduplicating :class:`~repro.core.exec.BatchExecutor`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .exec import (
     DedupStats,
     TripMachine,
     convolve_histograms,
-    execute_fetch,
     prefetch_ranges_many,
 )
 from .plan import PlanPolicy
@@ -53,11 +53,6 @@ __all__ = [
     "PerTripCache",
 ]
 
-#: Sentinel distinguishing "use the engine default estimator" from an
-#: explicit ``None`` ("no estimator for this trip").
-_DEFAULT_ESTIMATOR = object()
-
-
 def _default_config() -> "EngineConfig":
     """The default :class:`EngineConfig` (lazy: api sits above core)."""
     from ..api.config import EngineConfig
@@ -66,14 +61,15 @@ def _default_config() -> "EngineConfig":
 
 
 class PerTripCache:
-    """Default sub-query cache: one FM-index backward search per distinct
-    sub-path per trip (estimator, retrieval, and interval-widening retries
-    share it), discarded when the trip completes.
+    """The range cache of an uncached session: one FM-index backward
+    search per distinct sub-path per trip (estimator, retrieval, and
+    interval-widening retries share it), discarded when the trip
+    completes.
 
-    This is the behaviour the engine always had; it implements the same
-    protocol as :class:`repro.service.SubQueryCache` but caches ranges
-    only — retrieval results and histograms are never shared, because
-    within one trip a sub-query is retrieved at most once per interval.
+    It implements the same protocol as :class:`repro.service.SubQueryCache`
+    but caches ranges only — retrieval results and histograms are never
+    shared, because within one trip a sub-query is retrieved at most once
+    per interval.
     """
 
     __slots__ = ("_ranges",)
@@ -129,17 +125,19 @@ class TripQueryResult:
     n_index_scans: int
     #: Sub-queries skipped by the cardinality estimator before any scan.
     n_estimator_skips: int
-    #: Wall-clock seconds until this trip's answer was ready.  Under the
-    #: deduplicating batch executor this is completion latency relative
-    #: to the *batch* start (trips wait on shared rounds), so summing it
-    #: across a batch overcounts the batch's actual work.
+    #: Wall-clock seconds until this trip's answer was ready, measured
+    #: from the start of the batch it ran in (a lone query is a batch of
+    #: one).  Trips wait on shared rounds, so summing it across a batch
+    #: overcounts the batch's actual work.
     elapsed_s: float
-    #: Sub-query retrievals answered from a shared cache instead of an
-    #: index scan; always 0 with the default per-trip cache.  The scan
-    #: count of an uncached run equals ``n_index_scans + n_cache_hits``,
-    #: except under concurrent fan-out, where two threads missing the
-    #: same key simultaneously may each scan it once (answers are still
-    #: identical; the sum can only over-count scans, never miss work).
+    #: Sub-query retrievals answered without this trip paying a scan:
+    #: from the shared cache, or from another trip's scan of the same
+    #: sub-query in the same round.  The scan count of an uncached
+    #: sequential run equals ``n_index_scans + n_cache_hits``, except
+    #: when concurrent batches share one cache, where two batches
+    #: missing the same key simultaneously may each scan it once
+    #: (answers are still identical; the sum can only over-count scans,
+    #: never miss work).
     n_cache_hits: int = 0
     #: The :class:`repro.api.TripRequest` this result answers, when the
     #: query entered through the typed API (``None`` on legacy paths).
@@ -267,10 +265,10 @@ class QueryEngine:
             ``estimator`` mode always overrides the engine default.
         cache:
             Optional sub-query cache shared across trips (e.g.
-            :class:`repro.service.SubQueryCache`).  ``None`` keeps the
-            historical behaviour: a fresh :class:`PerTripCache` per
-            trip.  A shared cache must be thread-safe when the engine is
-            used from multiple threads.
+            :class:`repro.service.SubQueryCache`).  ``None`` gives each
+            trip a fresh :class:`PerTripCache`; trips of one batch still
+            share their identical scans.  A shared cache must be
+            thread-safe when the engine is used from multiple threads.
         """
         if config is None:
             config = _default_config()
@@ -331,9 +329,10 @@ class QueryEngine:
     ) -> TripQueryResult:
         """Answer one typed :class:`repro.api.TripRequest`.
 
-        The unified entry point (also what :class:`repro.api.TravelTimeDB`
-        calls): the request's estimator mode overrides the engine default,
-        and the result carries the request as a back-reference.
+        A batch of one through :meth:`run_batch`: the request's
+        estimator mode overrides the engine default, ``cache`` overrides
+        the engine-level cache for this call, and the result carries the
+        request as a back-reference.
         """
         if not hasattr(request, "to_spq"):
             # The exact migration mistake the deprecation message invites:
@@ -343,8 +342,8 @@ class QueryEngine:
                 f"{type(request).__name__} — wrap legacy queries with "
                 "TripRequest.from_spq(...)"
             )
-        result = self._run_task(
-            request.to_spq(), request.exclude_ids, request.estimator,
+        (result,), _ = self.run_batch(
+            [(request.to_spq(), request.exclude_ids, request.estimator)],
             cache=cache,
         )
         result.request = request
@@ -374,56 +373,6 @@ class QueryEngine:
             self._estimators[value] = built
         return built
 
-    def _run_task(
-        self,
-        query: StrictPathQuery,
-        exclude_ids: Sequence[int],
-        estimator_mode,
-        cache=None,
-    ) -> TripQueryResult:
-        """One batch item: spq + exclusions + per-request estimator mode.
-
-        The shared execution primitive behind the service fan-out and the
-        streaming API (thread and fork workers both land here).
-        """
-        return self._run_trip(
-            query,
-            exclude_ids=exclude_ids,
-            cache=cache,
-            estimator=self._resolve_estimator(estimator_mode),
-        )
-
-    def _run_trip(
-        self,
-        query: StrictPathQuery,
-        exclude_ids: Sequence[int] = (),
-        cache=None,
-        estimator=_DEFAULT_ESTIMATOR,
-    ) -> TripQueryResult:
-        """Procedure 6 as a staged pipeline: plan, fetch, combine.
-
-        A thin driver: the :class:`~repro.core.exec.TripMachine` owns
-        planning and combining, and every retrieval goes through the
-        fetch stage (:func:`~repro.core.exec.execute_fetch`).
-
-        ``cache`` overrides the engine-level cache for this call; by
-        default a fresh :class:`PerTripCache` is used, preserving the
-        single-trip semantics.  A shared cache returns bit-identical
-        histograms — cached retrievals re-enter the procedure at the
-        exact point the index scan would have, so only ``n_index_scans``
-        (and ``n_cache_hits``) differ.  ``estimator`` overrides the
-        engine default for this trip (``None`` disables the pre-check).
-        """
-        machine = self._make_machine(query, exclude_ids, cache, estimator)
-        demand = machine.advance()
-        while demand is not None:
-            result, from_scan = execute_fetch(
-                self.index, self.network, machine.cache, demand
-            )
-            demand = machine.resume(result, from_scan)
-        assert machine.result is not None
-        return machine.result
-
     def run_batch(
         self,
         tasks: Sequence[Tuple[StrictPathQuery, Tuple[int, ...], Any]],
@@ -432,14 +381,15 @@ class QueryEngine:
     ) -> Tuple[List[TripQueryResult], DedupStats]:
         """Answer a batch with cross-trip sub-query deduplication.
 
-        ``tasks`` are ``(query, exclude_ids, estimator_mode)`` triples
-        (the service's batch item shape).  All trips plan against the
-        shared cache backend (the engine's, or ``cache`` when given; a
-        ``None`` engine cache means per-trip caches and in-batch dedup
-        only), and the :class:`~repro.core.exec.BatchExecutor` scans
-        each unique planned sub-query once per round — bit-identical to
-        the sequential per-trip loop, including relaxation re-planning
-        when a shared scan comes back empty.  Returns the results in
+        ``tasks`` are ``(query, exclude_ids, estimator_mode)`` triples.
+        All trips plan against the shared cache backend (the engine's,
+        or ``cache`` when given; a ``None`` engine cache means per-trip
+        caches and in-batch dedup only), and the
+        :class:`~repro.core.exec.BatchExecutor` scans each unique
+        planned sub-query once per round — bit-identical to the
+        sequential per-trip loop, including relaxation re-planning when
+        a shared scan comes back empty.  ``n_workers`` fans each
+        round's scans out over threads.  Returns the results in
         submission order plus the batch's dedup accounting.
         """
         shared = cache if cache is not None else self.cache
@@ -450,10 +400,9 @@ class QueryEngine:
         # relative to the batch start — the serving-side metric — not
         # the trip's solo service time; timing is explicitly outside
         # the bit-identity contract.
-        # Prefetch is deferred and pooled: the whole batch's planned
-        # sub-queries resolve through one batched backward search (the
-        # levelwise frontier descent needs batch-of-trips scale to pay
-        # off), instead of one small per-trip prefetch each.
+        # Prefetch is pooled: the whole batch's planned sub-queries
+        # resolve through one batched backward search (the levelwise
+        # frontier descent needs batch-of-trips scale to pay off).
         machines = [
             TripMachine(
                 self.policy,
@@ -463,7 +412,6 @@ class QueryEngine:
                 self._resolve_estimator(estimator_mode),
                 query,
                 exclude_ids,
-                prefetch=False,
             )
             for query, exclude_ids, estimator_mode in tasks
         ]
@@ -488,28 +436,6 @@ class QueryEngine:
         sync_epoch = getattr(cache, "sync_epoch", None)
         if sync_epoch is not None:
             sync_epoch(self.index)
-
-    def _make_machine(
-        self,
-        query: StrictPathQuery,
-        exclude_ids: Sequence[int],
-        cache,
-        estimator=_DEFAULT_ESTIMATOR,
-    ) -> TripMachine:
-        if estimator is _DEFAULT_ESTIMATOR:
-            estimator = self.estimator
-        if cache is None:
-            cache = self.cache if self.cache is not None else PerTripCache()
-        self._prepare_cache(cache)
-        return TripMachine(
-            self.policy,
-            self.index,
-            self.network,
-            cache,
-            estimator,
-            query,
-            exclude_ids,
-        )
 
     def _convolve(self, histograms: List[Histogram]) -> Histogram:
         """Combine stage over this engine's bucket width

@@ -1,31 +1,24 @@
 """Query execution: the fetch and combine stages of Procedure 6.
 
 :mod:`repro.core.plan` decides *what to ask the index*; this module asks
-it.  Three pieces:
+it.  Two pieces, and together they are the only way a query runs:
 
 * :class:`TripMachine` — one trip's Procedure 6 state, advanced step by
   step.  ``advance()`` runs the planner (partition queue, shift-and-
-  enlarge, estimator pre-check, relaxation) until the trip either needs
-  an index fetch — returning a :class:`FetchDemand` — or completes.
-  ``resume(result, from_scan)`` feeds the fetch answer back in and
-  continues.  The machine performs no index retrieval itself, which is
-  what lets one driver answer a trip sequentially and another answer a
-  whole batch with cross-trip deduplication, bit-identically.
-* :func:`execute_fetch` — the fetch stage for one demand: probe the
-  cache backend, scan the :class:`IndexReader` on a miss, store the
-  answer.  Exactly the PR-1 cache discipline, so a machine driven
-  through it produces the same ``n_index_scans``/``n_cache_hits``
-  accounting as the historical monolithic loop.
-* :class:`BatchExecutor` — the round-based batch driver: collect the
-  pending demands of every in-flight trip, deduplicate identical
-  :class:`~repro.core.plan.SubQueryTask` keys, answer each unique task
-  once (bulk cache probe, then one index scan per unique miss — grouped
-  per edge and per shard when the reader supports
-  ``get_travel_times_many``), and
-  fan each answer out to every owning trip.  Owners that did not pay
-  the scan account a cache hit, exactly as they would have in a
-  sequential pass over a shared cache, so ``scans + hits`` stays
-  invariant and histograms stay byte-identical.
+  enlarge, estimator pre-check, relaxation) and takes result-cache hits
+  itself, at the point a sequential loop would, until the trip either
+  needs an index scan — returning a :class:`FetchDemand` — or completes.
+  ``resume(result, from_scan)`` feeds the scan answer back in and
+  continues.  The machine performs no index retrieval itself.
+* :class:`BatchExecutor` — the round-based driver, for a batch of one
+  trip as for thousands: collect the pending demands of every in-flight
+  trip, deduplicate identical :class:`~repro.core.plan.SubQueryTask`
+  keys, scan each unique key once (grouped per edge and per shard when
+  the reader supports ``get_travel_times_many``), and fan each answer
+  out to every owning trip.  Owners that did not pay the scan account a
+  cache hit, exactly as they would have in a sequential pass over a
+  shared cache, so ``scans + hits`` stays invariant and histograms stay
+  byte-identical to sequential Procedure 6.
 """
 
 from __future__ import annotations
@@ -73,7 +66,6 @@ __all__ = [
     "TripMachine",
     "DedupStats",
     "BatchExecutor",
-    "execute_fetch",
     "prefetch_ranges_many",
     "convolve_histograms",
 ]
@@ -84,19 +76,17 @@ IsaRanges = List[Tuple[int, int, int]]
 
 @dataclass(frozen=True, slots=True)
 class FetchDemand:
-    """One suspended trip's request to the fetch stage.
+    """One suspended trip's request to the scan stage.
 
     ``ranges`` is the ISA backward search the planner already performed
     (shared with the estimator pre-check); the scan reuses it instead of
-    recomputing.
+    recomputing.  ``key`` is ``task.key``, built once by the machine's
+    cache probe and reused for grouping and fan-out.
     """
 
     task: SubQueryTask
     ranges: IsaRanges
-
-    @property
-    def key(self) -> SubQueryKey:
-        return self.task.key
+    key: SubQueryKey
 
 
 def convolve_histograms(
@@ -123,9 +113,10 @@ class TripMachine:
     The machine owns the work queue of sub-queries, the completed
     outcomes, the shift-and-enlarge accumulators, and the relaxation
     budget.  It touches the index only for planner reads (ISA ranges,
-    estimator statistics, ``sigma_L`` count probes) — retrieval is
-    always demanded from a driver, so execution strategy (sequential vs
-    deduplicated batch) never changes what the machine computes.
+    estimator statistics, ``sigma_L`` count probes) and its cache only
+    through the backend protocol — retrieval is always demanded from a
+    driver, so how a batch is scheduled never changes what the machine
+    computes.
     """
 
     __slots__ = (
@@ -158,7 +149,6 @@ class TripMachine:
         estimator: Any,
         query: StrictPathQuery,
         exclude_ids: Sequence[int],
-        prefetch: bool = True,
     ) -> None:
         self.policy = policy
         self.cache = cache
@@ -180,8 +170,6 @@ class TripMachine:
         self.n_skips = 0
         self.n_hits = 0
         self.result: Optional["TripQueryResult"] = None
-        if prefetch:
-            self._prefetch_ranges()
 
     def _pending_prefetch(self) -> List[Sequence[int]]:
         """Planned sub-query paths whose ISA ranges are not cached yet
@@ -196,35 +184,18 @@ class TripMachine:
             pending.append(sub.path)
         return pending
 
-    def _prefetch_ranges(self) -> None:
-        """Warm the range cache for the whole planned queue in one batch.
-
-        When the index offers the batched backward search
-        (``isa_ranges_many``), the planned sub-queries' ISA ranges are
-        resolved together up front instead of one ``isa_ranges`` call
-        per :meth:`advance` step — same ranges (the batched search is
-        bit-identical), fetched through one amortised descent.  Served
-        through the cache, so dedup/statistics behave as if each lookup
-        happened at its usual point.
-        """
-        batched = getattr(self._index, "isa_ranges_many", None)
-        if batched is None:
-            return
-        pending = self._pending_prefetch()
-        if len(pending) < 2:  # nothing to amortise
-            return
-        for path, ranges in zip(pending, batched(pending)):
-            self.cache.put_ranges(path, ranges)
-
     @property
     def done(self) -> bool:
         return self.result is not None
 
     def advance(self) -> Optional[FetchDemand]:
-        """Plan until the next fetch is needed, or finish the trip.
+        """Plan until the next scan is needed, or finish the trip.
 
-        Returns the demand to answer (feed it back via :meth:`resume`),
-        or ``None`` when the trip completed — :attr:`result` is then set.
+        A sub-query whose result the cache already holds is answered
+        here, as a hit, exactly where a sequential loop would probe the
+        cache; only misses leave the machine.  Returns the demand to
+        answer (feed it back via :meth:`resume`), or ``None`` when the
+        trip completed — :attr:`result` is then set.
         """
         if self._pending is not None:
             raise QueryError(
@@ -232,12 +203,13 @@ class TripMachine:
                 "demand pending"
             )
         policy = self.policy
+        cache = self.cache
         while self._queue:
             sub = self._queue.popleft()
-            ranges = self.cache.get_ranges(sub.path)
+            ranges = cache.get_ranges(sub.path)
             if ranges is None:
                 ranges = self._index.isa_ranges(sub.path)
-                self.cache.put_ranges(sub.path, ranges)
+                cache.put_ranges(sub.path, ranges)
 
             # Shift-and-enlarge (Procedure 6 line 4), once per chain.
             if wants_shift_enlarge(policy, sub, bool(self._outcomes)):
@@ -254,9 +226,14 @@ class TripMachine:
                 self._relax(sub)
                 continue
 
-            self._pending = FetchDemand(
-                SubQueryTask(sub, self._exclude), ranges
-            )
+            task = SubQueryTask(sub, self._exclude)
+            key = task.key
+            result = cache.get_result(key)
+            if result is not None:
+                self.n_hits += 1
+                self._take(sub, key, result)
+                continue
+            self._pending = FetchDemand(task, ranges, key)
             return self._pending
         self._finish()
         return None
@@ -265,27 +242,32 @@ class TripMachine:
         """Feed the pending demand's retrieval result back in.
 
         ``from_scan`` says who paid for it: ``True`` accounts an index
-        scan, ``False`` a cache hit (including a deduplicated fan-out,
-        which is a hit against the batch's own just-scanned answer).
-        Continues planning and returns the next demand, or ``None`` when
-        the trip completed.
+        scan, ``False`` a cache hit (a deduplicated fan-out is a hit
+        against the batch's own just-scanned answer).  Continues
+        planning and returns the next demand, or ``None`` when the trip
+        completed.
         """
         if self._pending is None:
             raise QueryError(
                 "TripMachine.resume called without a pending fetch demand"
             )
         demand, self._pending = self._pending, None
-        sub = demand.task.query
         if from_scan:
             self.n_scans += 1
         else:
             self.n_hits += 1
+        self._take(demand.task.query, demand.key, result)
+        return self.advance()
 
+    def _take(
+        self, sub: StrictPathQuery, key: SubQueryKey, result: Any
+    ) -> None:
+        """Consume one sub-query's retrieval: relax on an empty result,
+        otherwise record its outcome and advance the shift accumulators."""
         if result.is_empty:
             self._relax(sub)
-            return self.advance()
-
-        histogram_key = (demand.key, self.policy.bucket_width_s)
+            return
+        histogram_key = (key, self.policy.bucket_width_s)
         histogram = self.cache.get_histogram(histogram_key)
         if histogram is None:
             histogram = Histogram.from_values(
@@ -304,7 +286,6 @@ class TripMachine:
         )
         self._shift_s += histogram.min_value
         self._enlarge_s += histogram.value_range
-        return self.advance()
 
     def _relax(self, sub: StrictPathQuery) -> None:
         """Replace a failing sub-query with its relaxation (Procedure 1)."""
@@ -347,9 +328,7 @@ def prefetch_ranges_many(
     deep into the regime where the levelwise frontier descent beats the
     scalar walk — where a single trip's queue (~10 paths) sits below
     the bulk crossover.  Pure cache warming with bit-identical ranges,
-    so results and dedup statistics are unchanged; machines must have
-    been built with ``prefetch=False`` (otherwise they already warmed
-    their caches solo, and this finds nothing left to pool).
+    so results and dedup statistics are unchanged.
     """
     batched = getattr(index, "isa_ranges_many", None)
     if batched is None:
@@ -372,30 +351,16 @@ def prefetch_ranges_many(
             machine.cache.put_ranges(path, ranges)
 
 
-def execute_fetch(
-    index: "IndexReader",
-    network: "RoadNetwork",
-    cache: Any,
-    demand: FetchDemand,
-) -> Tuple[Any, bool]:
-    """Fetch stage for one demand: cache probe, then scan-and-store.
-
-    Returns ``(result, from_scan)`` — exactly the PR-1 discipline: a hit
-    is indistinguishable from a scan bar the accounting, and a scanned
-    answer is stored before anyone consumes it.
-    """
-    key = demand.key
-    result = cache.get_result(key)
-    if result is not None:
-        return result, False
-    result = index.get_travel_times(
+def _scan_one(
+    index: "IndexReader", network: "RoadNetwork", demand: FetchDemand
+) -> Any:
+    """The reader's scalar scan for one demand."""
+    return index.get_travel_times(
         demand.task.query,
         fallback_tt=network.estimate_tt,
         exclude_ids=demand.task.exclude_ids,
         isa_ranges=demand.ranges,
     )
-    cache.put_result(key, result)
-    return result, True
 
 
 def _scan_demands(
@@ -444,12 +409,7 @@ def _scan_demands(
         return list(many(items, fallback_tt=network.estimate_tt))
 
     def scan(demand: FetchDemand) -> Any:
-        return index.get_travel_times(
-            demand.task.query,
-            fallback_tt=network.estimate_tt,
-            exclude_ids=demand.task.exclude_ids,
-            isa_ranges=demand.ranges,
-        )
+        return _scan_one(index, network, demand)
 
     if n_workers > 1 and len(demands) > 1:
         with ThreadPoolExecutor(
@@ -465,14 +425,15 @@ class DedupStats:
 
     #: Trips answered by the batch.
     n_trips: int = 0
-    #: Fetch demands planned across all trips (including relaxation
-    #: retries).
+    #: Sub-queries planned across all trips (including relaxation
+    #: retries): cache hits plus the demands that reached a round.
     planned_subqueries: int = 0
-    #: Distinct sub-query keys the batch actually had to answer.
+    #: Sub-query answers the batch had to produce: one per distinct key
+    #: per round, plus one per cache hit.
     unique_subqueries: int = 0
-    #: Demands answered straight from the shared cache backend.
+    #: Sub-queries answered straight from the shared cache backend.
     cache_hits: int = 0
-    #: Index scans executed (one per unique cache-missing key).
+    #: Index scans executed (one per distinct key per round).
     n_index_scans: int = 0
     #: Executor rounds (batch-wide plan/fetch/combine iterations).
     n_rounds: int = 0
@@ -504,18 +465,18 @@ class DedupStats:
 class BatchExecutor:
     """Answers a batch of trips with cross-trip sub-query deduplication.
 
-    Each round: every in-flight trip plans up to its next fetch demand;
-    demands with identical keys are grouped; each unique key is answered
-    once — bulk cache probe first, then one index scan per miss — and
-    the answer fans out to every owner.  The first owner (in submission
-    order) of a scanned key accounts the scan; every other owner
-    accounts a cache hit, exactly what a sequential pass over a shared
-    cache would have produced.  Relaxation re-planning stays per-trip:
-    an owner resuming with an empty shared answer expands its own
-    ladder and re-demands in the next round.
+    Each round: every in-flight trip plans up to its next cache miss;
+    the first demand of each distinct key is scanned, once, and the
+    answer fans out to every owner in submission order.  The first owner
+    accounts the scan; every other owner accounts a cache hit, exactly
+    what a sequential pass over a shared cache would have produced.
+    Relaxation re-planning stays per-trip: an owner resuming with an
+    empty shared answer expands its own ladder and re-demands in the
+    next round.  A batch of one trip is the sequential loop itself.
 
     ``cache`` may be ``None`` (no shared backend): deduplication then
     happens only within a round's demand set, and nothing is stored.
+    ``n_workers`` fans each round's unique scans out over threads.
     """
 
     def __init__(
@@ -531,38 +492,11 @@ class BatchExecutor:
         self.n_workers = max(1, int(n_workers))
         self.stats = DedupStats()
 
-    # ------------------------------------------------------------------ #
-    # Fetch plumbing
-    # ------------------------------------------------------------------ #
-
-    def _probe_cache(
-        self, keys: Sequence[SubQueryKey]
-    ) -> Dict[SubQueryKey, Any]:
-        """Bulk result-cache probe (``get_results_many`` when offered).
-
-        The single-key fallback here (and in :meth:`_store_results`)
-        keeps duck-typed backends written against the pre-batched
-        protocol working — the ``*_many`` methods are an optimisation,
-        not a correctness requirement.
-        """
-        if self.cache is None:
-            return {}
-        many = getattr(self.cache, "get_results_many", None)
-        if many is not None:
-            found = many(keys)
-        else:
-            found = {}
-            for key in keys:
-                result = self.cache.get_result(key)
-                if result is not None:
-                    found[key] = result
-        return dict(found)
-
     def _store_results(
         self, answered: Sequence[Tuple[SubQueryKey, Any]]
     ) -> None:
-        if self.cache is None or not answered:
-            return
+        """Store a round's scans (``put_results_many`` when offered; the
+        single-key fallback keeps duck-typed backends working)."""
         many = getattr(self.cache, "put_results_many", None)
         if many is not None:
             many(answered)
@@ -570,61 +504,74 @@ class BatchExecutor:
         for key, result in answered:
             self.cache.put_result(key, result)
 
-    # ------------------------------------------------------------------ #
-    # Driver
-    # ------------------------------------------------------------------ #
+    def _drive_lone(self, machine: TripMachine, demand: FetchDemand) -> None:
+        """Finish the last in-flight trip.  With one owner there is
+        nothing to group or fan out, so each round is a plain scan the
+        owner pays — a lone query runs at sequential-loop cost."""
+        stats = self.stats
+        next_demand: Optional[FetchDemand] = demand
+        while next_demand is not None:
+            stats.n_rounds += 1
+            stats.planned_subqueries += 1
+            stats.unique_subqueries += 1
+            stats.n_index_scans += 1
+            result = _scan_one(self.index, self.network, next_demand)
+            if self.cache is not None:
+                self._store_results([(next_demand.key, result)])
+            next_demand = machine.resume(result, True)
 
     def run(
         self, machines: Sequence[TripMachine]
     ) -> List["TripQueryResult"]:
-        """Drive the machines to completion; results in submission order."""
-        self.stats.n_trips += len(machines)
+        """Drive fresh machines to completion; results in submission
+        order."""
+        stats = self.stats
+        stats.n_trips += len(machines)
         pending: List[Tuple[TripMachine, FetchDemand]] = []
         for machine in machines:
             demand = machine.advance()
             if demand is not None:
                 pending.append((machine, demand))
 
+        fanned_out = 0
         while pending:
-            self.stats.n_rounds += 1
-            self.stats.planned_subqueries += len(pending)
-
-            # Group demands by key, preserving submission order (both of
-            # the unique keys and of each key's owners).
-            groups: Dict[SubQueryKey, List[Tuple[TripMachine, FetchDemand]]]
-            groups = {}
-            for machine, demand in pending:
-                groups.setdefault(demand.key, []).append((machine, demand))
-            unique_keys = list(groups)
-            self.stats.unique_subqueries += len(unique_keys)
-
-            found = self._probe_cache(unique_keys)
-            self.stats.cache_hits += sum(
-                len(groups[key]) for key in found
-            )
-            missing = [key for key in unique_keys if key not in found]
-            scan_demands = [groups[key][0][1] for key in missing]
+            if len(pending) == 1:
+                self._drive_lone(*pending[0])
+                break
+            stats.n_rounds += 1
+            stats.planned_subqueries += len(pending)
+            # One grouping pass: the first demand of each key (in
+            # submission order) is the one scanned.
+            first: Dict[SubQueryKey, FetchDemand] = {}
+            for _, demand in pending:
+                if demand.key not in first:
+                    first[demand.key] = demand
+            stats.unique_subqueries += len(first)
             scanned = _scan_demands(
-                self.index, self.network, scan_demands, self.n_workers
+                self.index, self.network, list(first.values()), self.n_workers
             )
-            self.stats.n_index_scans += len(scanned)
-            self._store_results(list(zip(missing, scanned)))
-            answers = dict(found)
-            answers.update(zip(missing, scanned))
-            scanned_keys = set(missing)
+            stats.n_index_scans += len(scanned)
+            answers = dict(zip(first, scanned))
+            if self.cache is not None:
+                self._store_results(list(answers.items()))
 
-            # Fan out, in submission order; the first owner of a scanned
-            # key pays the scan, later owners account hits.
             next_pending: List[Tuple[TripMachine, FetchDemand]] = []
             for machine, demand in pending:
                 key = demand.key
-                from_scan = key in scanned_keys
-                if from_scan:
-                    scanned_keys.discard(key)
+                from_scan = first.pop(key, None) is not None
+                if not from_scan:
+                    fanned_out += 1
                 follow_up = machine.resume(answers[key], from_scan)
                 if follow_up is not None:
                     next_pending.append((machine, follow_up))
             pending = next_pending
+
+        # Hits the machines took from the cache themselves never reached
+        # a round; they still count as planned (and answered) sub-queries.
+        cache_hits = sum(machine.n_hits for machine in machines) - fanned_out
+        stats.cache_hits += cache_hits
+        stats.planned_subqueries += cache_hits
+        stats.unique_subqueries += cache_hits
 
         results: List["TripQueryResult"] = []
         for machine in machines:

@@ -53,8 +53,9 @@ def measure_throughput(
     """Run the same query batch under different worker-pool sizes.
 
     Execution goes through :meth:`repro.api.TravelTimeDB.query_many`
-    (uncached, so every run measures real index work); the session owns
-    the thread-pool fan-out over the shared immutable index.
+    (uncached, so every run measures real index work); each executor
+    round's scans fan out over ``n_workers`` threads on the shared
+    immutable index.
     """
     if any(w < 1 for w in worker_counts):
         raise ValueError("worker counts must be positive")
@@ -127,8 +128,8 @@ def measure_batch_service(
 
     * ``sequential`` — one ``db.query`` call per trip (per-trip cache
       only), the paper's Procedure 6 baseline;
-    * ``batched`` — ``db.query_many`` with ``n_workers`` threads, no
-      shared cache (pure fan-out);
+    * ``batched`` — ``db.query_many`` with ``n_workers`` scan threads,
+      no shared cache (in-batch dedup only);
     * ``cached-cold`` — ``db.query_many`` on one thread with an empty
       shared :class:`~repro.service.SubQueryCache` (repeats hit within
       the pass);

@@ -98,7 +98,6 @@ class ServerStats:
         self.rounds = 0
         self.peak_inflight = 0
         self.dedup = DedupStats()
-        self.dedup_rounds = 0
         self.latency = LatencyRing(latency_window)
         self.clients: Dict[str, ClientStats] = {}
 
@@ -118,12 +117,10 @@ class ServerStats:
         self.trips_admitted += n_trips
         self.peak_inflight = max(self.peak_inflight, inflight)
 
-    def note_round(self, n_trips: int, dedup: Optional[DedupStats]) -> None:
+    def note_round(self, n_trips: int, dedup: DedupStats) -> None:
         self.rounds += 1
         self.trips_answered += n_trips
-        if dedup is not None:
-            self.dedup_rounds += 1
-            self.dedup.absorb(dedup)
+        self.dedup.absorb(dedup)
 
     def snapshot(self, queue_depth: int) -> Dict[str, Any]:
         """The ``/stats`` payload (JSON-compatible)."""
@@ -147,7 +144,6 @@ class ServerStats:
             },
             "rounds": {
                 "count": self.rounds,
-                "with_dedup": self.dedup_rounds,
                 "planned_subqueries": dedup.planned_subqueries,
                 "unique_subqueries": dedup.unique_subqueries,
                 "index_scans": dedup.n_index_scans,

@@ -111,10 +111,8 @@ class LRUCache:
 
     @property
     def max_entries(self) -> Optional[int]:
-        """The configured entry bound (``None`` = unbounded).
-
-        Immutable after construction, so readable without the lock —
-        e.g. by a forked child whose inherited lock may be held."""
+        """The configured entry bound (``None`` = unbounded); immutable
+        after construction, so readable without the lock."""
         return self._max
 
     def __len__(self) -> int:
@@ -142,7 +140,7 @@ class SubQueryCache:
     Implements the cache protocol consumed by the engine's staged
     pipeline (:class:`repro.core.exec.TripMachine` and the fetch stage):
     ``get_ranges``/``put_ranges``, ``get_result``/``put_result`` (plus
-    their batched ``*_many`` faces) and
+    the batched ``put_results_many``) and
     ``get_histogram``/``put_histogram``.  All sections are thread-safe and
     LRU-bounded, so a long-running service has a fixed memory ceiling.
 
@@ -197,29 +195,14 @@ class SubQueryCache:
                 )
 
     def spawn_empty(self) -> "SubQueryCache":
-        """A fresh, unbound cache with this cache's per-section bounds.
-
-        Used by process fan-out: each forked worker must not touch the
-        parent's cache (its locks may have been snapshotted held), but
-        the worker's replacement should honour the memory ceiling the
-        caller configured here.
-        """
+        """A fresh, unbound cache with this cache's per-section bounds —
+        the same memory ceiling for a session over other data (a bound
+        cache rejects any other index)."""
         return SubQueryCache(
             max_ranges=self._ranges.max_entries,
             max_results=self._results.max_entries,
             max_histograms=self._histograms.max_entries,
         )
-
-    def spawn_for_worker(self) -> "SubQueryCache":
-        """The :class:`~repro.service.cachetier.CacheBackend` fork hook.
-
-        An in-process cache cannot be shared with a forked worker (see
-        :meth:`spawn_empty`), so the worker gets a fresh empty cache
-        with the same bounds; the cross-process
-        :class:`~repro.service.cachetier.SharedCacheTier` instead hands
-        the worker a new handle onto the shared store.
-        """
-        return self.spawn_empty()
 
     def sync_epoch(self, index) -> None:
         """Drop entries cached against an earlier state of ``index``.
@@ -263,24 +246,6 @@ class SubQueryCache:
     def put_result(self, key: Hashable, result) -> None:
         result.values.setflags(write=False)
         self._results.put(key, result)
-
-    def get_results_many(
-        self, keys: Sequence[Hashable]
-    ) -> Dict[Hashable, object]:
-        """Bulk result probe: the found subset of ``keys``.
-
-        The batched face of :meth:`get_result`, used by the
-        deduplicating batch executor so one probe serves every demand
-        of a round.  In-process this is a loop over the LRU; the
-        cross-process :class:`~repro.service.cachetier.SharedCacheTier`
-        overrides it with a single store query.
-        """
-        found: Dict[Hashable, object] = {}
-        for key in keys:
-            result = self._results.get(key)
-            if result is not None:
-                found[key] = result
-        return found
 
     def put_results_many(
         self, items: Sequence[Tuple[Hashable, object]]

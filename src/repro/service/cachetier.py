@@ -3,16 +3,15 @@
 The engine consumes one cache protocol (:class:`CacheBackend`):
 ``get_ranges``/``put_ranges``, ``get_result``/``put_result``,
 ``get_histogram``/``put_histogram`` plus the lifecycle hooks
-(``bind_index``, ``sync_epoch``, ``spawn_for_worker``, ``close``).  Two
-implementations exist:
+(``bind_index``, ``sync_epoch``, ``close``).  Two implementations
+exist:
 
 * :class:`~repro.service.cache.SubQueryCache` — the in-process LRU of
   PR 1, private to one process;
 * :class:`SharedCacheTier` (this module) — a tier that *multiple
   processes* share through an SQLite store under the index directory,
-  so fork fan-out workers and entirely separate serving processes warm
-  each other's caches instead of recomputing repeated sub-paths once
-  per process.
+  so separate serving processes warm each other's caches instead of
+  recomputing repeated sub-paths once per process.
 
 Keying follows the ROADMAP external-cache-tier contract exactly: an
 entry's key is the sub-query's :meth:`repro.api.TripRequest.to_dict`
@@ -86,23 +85,18 @@ _SECTIONS = ("ranges", "results", "histograms")
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """The cache protocol :meth:`repro.core.engine.QueryEngine._run_trip`
-    consumes, plus the serving-layer lifecycle hooks.
+    """The cache protocol :class:`repro.core.exec.TripMachine` and the
+    :class:`repro.core.exec.BatchExecutor` consume, plus the
+    serving-layer lifecycle hooks.
 
     ``get_*`` returns ``None`` on a miss; cached values are treated as
-    immutable by all parties.  ``spawn_for_worker`` is called *inside a
-    forked worker process* on the inherited parent backend and must
-    return the backend that worker should use without touching any
-    parent lock (the fork may have snapshotted one mid-critical-section):
-    an in-process cache returns a fresh empty clone, a shared tier
-    returns a new handle onto the same store.
+    immutable by all parties.  ``put_results_many`` stores one executor
+    round's scans at once.
     """
 
     def bind_index(self, index: Any, network: Any = None) -> None: ...
 
     def sync_epoch(self, index: Any) -> None: ...
-
-    def spawn_for_worker(self) -> "CacheBackend": ...
 
     def get_ranges(
         self, path: Tuple[int, ...]
@@ -115,10 +109,6 @@ class CacheBackend(Protocol):
     def get_result(self, key: Hashable) -> Any: ...
 
     def put_result(self, key: Hashable, result: Any) -> None: ...
-
-    def get_results_many(
-        self, keys: Sequence[Hashable]
-    ) -> Dict[Hashable, Any]: ...
 
     def put_results_many(
         self, items: Sequence[Tuple[Hashable, Any]]
@@ -473,31 +463,6 @@ class SharedCacheTier:
             self._expire_stale_locked()
             self._enforce_store_bound()
 
-    def _store_get_many(
-        self, section: str, keys: Sequence[str]
-    ) -> Dict[str, str]:
-        """Batched :meth:`_store_get`: one query for a round's probes."""
-        if not keys:
-            return {}
-        found: Dict[str, str] = {}
-        with self._lock:
-            conn = self._connection()
-            # SQLite caps bound parameters (999 historically); chunk.
-            for start in range(0, len(keys), 500):
-                chunk = list(keys[start : start + 500])
-                marks = ",".join("?" for _ in chunk)
-                rows = conn.execute(
-                    f"SELECT key, payload FROM entries WHERE section=? "
-                    f"AND ident=? AND epoch=? AND lineage=? "
-                    f"AND created_at>=? AND key IN ({marks})",
-                    [section, self._ident_hash, self._epoch, self._lineage,
-                     self._age_cutoff()]
-                    + chunk,
-                ).fetchall()
-                for key, payload in rows:
-                    found[str(key)] = str(payload)
-        return found
-
     def _enforce_store_bound(self) -> None:
         """Drop the oldest-written rows past ``max_store_entries``.
 
@@ -557,7 +522,7 @@ class SharedCacheTier:
         )
 
     # ------------------------------------------------------------------ #
-    # Lifecycle (bind / epoch / fork / close)
+    # Lifecycle (bind / epoch / close)
     # ------------------------------------------------------------------ #
 
     def bind_index(self, index: Any, network: Any = None) -> None:
@@ -659,24 +624,6 @@ class SharedCacheTier:
                 self._enforce_store_bound()
             self._epoch = epoch
             self._lineage = lineage
-
-    def spawn_for_worker(self) -> "SharedCacheTier":
-        """A fresh handle onto the same store for a forked worker.
-
-        Called in the child on the inherited parent object; touches no
-        lock (the fork may have snapshotted one held) and no inherited
-        sqlite connection — only immutable attributes — so the worker
-        gets clean synchronisation primitives and its own connection,
-        while still sharing every stored entry with the parent and its
-        sibling workers.
-        """
-        return SharedCacheTier(
-            self._dir,
-            identity=self._identity,
-            max_entries=self._max_entries,
-            max_store_entries=self._max_store_entries,
-            max_age_s=self._max_age_s,
-        )
 
     def clear(self) -> None:
         """Empty L1 and drop this configuration's stored entries.
@@ -789,55 +736,6 @@ class SharedCacheTier:
         self._put(
             "results", key, self._result_key(key), result, result.to_wire()
         )
-
-    def get_results_many(
-        self, keys: Sequence[Hashable]
-    ) -> Dict[Hashable, Any]:
-        """Bulk result probe: L1 first, then one store query for the rest.
-
-        The batched face of :meth:`get_result` used by the deduplicating
-        batch executor — a round's worth of probes costs one SQLite
-        round trip instead of one per sub-query.  Promotion into L1
-        follows the same stamp-re-check discipline as the single-key
-        path, so a concurrent epoch bump can never resurrect a
-        pre-append entry.
-        """
-        from ..sntindex.procedures import TravelTimeResult
-
-        found: Dict[Hashable, Any] = {}
-        missing: List[Hashable] = []
-        for key in keys:
-            value = self._l1["results"].get(key)
-            if value is not None:
-                found[key] = value
-            else:
-                missing.append(key)
-        if not missing:
-            return found
-        stamp = (self._epoch, self._lineage)
-        store_keys = {key: self._result_key(key) for key in missing}
-        payloads = self._store_get_many(
-            "results", list(store_keys.values())
-        )
-        n_missed = 0
-        for key in missing:
-            payload = payloads.get(store_keys[key])
-            if payload is None:
-                n_missed += 1
-                continue
-            value = TravelTimeResult.from_wire(json.loads(payload))
-            with self._bind_lock:
-                if (self._epoch, self._lineage) != stamp:
-                    n_missed += 1
-                    continue
-                self._l1["results"].put(key, value)
-            with self._lock:
-                self._shared_hits["results"] += 1
-            found[key] = value
-        if n_missed:
-            with self._lock:
-                self._misses["results"] += n_missed
-        return found
 
     def put_results_many(
         self, items: Sequence[Tuple[Hashable, Any]]

@@ -253,8 +253,9 @@ def first_segment_matches_many(
     interval selection runs once over stacked query bounds, the per-``w``
     ISA bound table is built for the whole group in one scatter, and the
     ISA/user masks evaluate over the group's concatenated candidate
-    rows.  Per item, the output (including the ``beta`` prefix cut and
-    the ``None``-vs-empty distinction) is exactly the scalar function's.
+    rows.  An item alone on its first edge runs the scalar scan.  Per
+    item, the output (including the ``beta`` prefix cut and the
+    ``None``-vs-empty distinction) is exactly the scalar function's.
     """
     n_items = len(items)
     results: List[Optional[Tuple[Int64Array, TraversalColumns]]] = (
@@ -277,6 +278,15 @@ def first_segment_matches_many(
         by_edge.setdefault(int(items[i][0].path[0]), []).append(i)
 
     for edge, slots in by_edge.items():
+        if len(slots) == 1:
+            # A lone query on its edge has nothing to share, and the
+            # grouping costs about twice the scalar scan per demand.
+            (i,) = slots
+            query, exclude_ids, beta, _ = items[i]
+            results[i] = first_segment_matches(
+                index, query, exclude_ids, beta, ranges_list[i]
+            )
+            continue
         phi0 = index.edge_index(edge)
         if phi0 is None or len(phi0) == 0:
             continue  # scalar returns None for every query on this edge

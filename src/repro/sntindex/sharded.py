@@ -678,7 +678,7 @@ class ShardedSNTIndex:
 
     Implements the same :class:`~repro.sntindex.reader.IndexReader`
     surface as :class:`SNTIndex`, so :class:`repro.core.engine.QueryEngine`
-    and :class:`repro.service.TravelTimeService` use it unchanged — with
+    and :class:`repro.api.TravelTimeDB` use it unchanged — with
     answers bit-identical to the monolithic index over the same corpus
     and ``partition_days`` (see the module docstring for why).
     """

@@ -1,11 +1,11 @@
 """Session facade tests: `open_db`, query/query_many/stream equivalence,
 result wire form, and the removal of the PR-3 legacy surfaces.
 
-The acceptance property (ISSUE 3, extended by ISSUE 5): for random
-workloads, ``db.query_many(reqs)``, ``list(db.stream(reqs))``, and the
-deduplicating batch executor (``dedup_subqueries=True``) produce
-bit-identical histograms / means / scan counts, and every request
-survives its wire form round trip.
+The acceptance property: for random workloads, ``db.query_many(reqs)``
+and ``list(db.stream(reqs))`` produce histograms / means / scan counts
+bit-identical to the sequential Procedure 6 loop
+(``tests/sequential_oracle``), and every request survives its wire form
+round trip.
 """
 
 import warnings
@@ -19,7 +19,6 @@ from repro import (
     SNTIndex,
     StrictPathQuery,
     TravelTimeDB,
-    TravelTimeService,
     TripQueryResult,
     TripRequest,
     generate_dataset,
@@ -27,6 +26,7 @@ from repro import (
 )
 from repro.core.intervals import FixedInterval, PeriodicInterval
 from repro.errors import ConfigurationError
+from tests.sequential_oracle import sequential_answers
 
 
 @pytest.fixture(scope="module")
@@ -166,29 +166,25 @@ class TestRoundTripProperty:
         requests = random_requests(dataset, index, seed=seed)
 
         # Fresh session per surface: identical cold-cache scan counts
-        # require sequential execution on an empty cache each time.
+        # require an empty cache each time.
         config = EngineConfig(partitioner="pi_Z")
-        via_many = open_db(
-            index, network=dataset.network, config=config
-        ).query_many(requests)
+        sequential = sequential_answers(
+            index, dataset.network, config, requests
+        )
+        dedup_db = open_db(index, network=dataset.network, config=config)
+        via_many = dedup_db.query_many(requests)
         via_stream = list(
             open_db(index, network=dataset.network, config=config).stream(
                 iter(requests)
             )
         )
-        dedup_db = open_db(
-            index,
-            network=dataset.network,
-            config=config.replace(dedup_subqueries=True),
-        )
-        via_dedup = dedup_db.query_many(requests)
 
         assert_bit_identical(via_stream, via_many)
         # Dedup may shift *which* trip pays a shared scan (the first
         # demander in round order, not in submission order), so per
-        # result only the scans+hits sum is pinned — the answers and
-        # outcomes stay byte-identical.
-        for result, reference in zip(via_dedup, via_many):
+        # result only the scans+hits sum is pinned against the uncached
+        # sequential loop — the answers and outcomes stay byte-identical.
+        for result, reference in zip(via_many, sequential):
             assert result.histogram == reference.histogram
             assert result.estimated_mean == reference.estimated_mean
             assert result.n_estimator_skips == reference.n_estimator_skips
@@ -210,10 +206,10 @@ class TestRoundTripProperty:
         # Executor accounting vs. per-result counters: every demand
         # resumes exactly once, as a scan or as a hit.
         assert stats.planned_subqueries == sum(
-            r.n_index_scans + r.n_cache_hits for r in via_dedup
+            r.n_index_scans + r.n_cache_hits for r in via_many
         )
         assert stats.n_index_scans == sum(
-            r.n_index_scans for r in via_dedup
+            r.n_index_scans for r in via_many
         )
 
         for request in requests:
@@ -226,9 +222,9 @@ class TestRoundTripProperty:
             dataset, index, seed=99, estimator=estimator
         )
         config = EngineConfig()
-        sequential = open_db(
-            index, network=dataset.network, cache=None, config=config
-        ).query_many(requests)
+        sequential = sequential_answers(
+            index, dataset.network, config, requests
+        )
         fanned = open_db(
             index, network=dataset.network, config=config
         ).query_many(requests, n_workers=4)
@@ -237,8 +233,8 @@ class TestRoundTripProperty:
                 requests, n_workers=4, window=3
             )
         )
-        # Concurrent fan-out can over-count scans on racy same-key
-        # misses, so only the answers are compared here.
+        # Windowing and a warm cache shift which trip pays a shared
+        # scan, so only the answers are compared here.
         for results in (fanned, streamed):
             for result, reference in zip(results, sequential):
                 assert result.histogram == reference.histogram
@@ -376,10 +372,10 @@ class TestLegacySurfaceRemoved:
 
         dataset, index = world
         engine = QueryEngine(index, dataset.network)
-        service = TravelTimeService(index, dataset.network)
+        db = open_db(index, network=dataset.network)
         assert not hasattr(engine, "trip_query")
-        assert not hasattr(service, "trip_query")
-        assert not hasattr(service, "trip_query_many")
+        assert not hasattr(db, "trip_query")
+        assert not hasattr(db, "trip_query_many")
 
     def test_legacy_engine_constructor_kwargs_rejected(self, world):
         from repro import QueryEngine
@@ -387,8 +383,6 @@ class TestLegacySurfaceRemoved:
         dataset, index = world
         with pytest.raises(TypeError):
             QueryEngine(index, dataset.network, partitioner="pi_1")
-        with pytest.raises(TypeError):
-            TravelTimeService(index, dataset.network, partitioner="pi_1")
 
     def test_new_constructors_do_not_warn(self, world):
         from repro import QueryEngine
@@ -397,7 +391,6 @@ class TestLegacySurfaceRemoved:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             QueryEngine(index, dataset.network, EngineConfig())
-            TravelTimeService(index, dataset.network, config=EngineConfig())
             open_db(index, network=dataset.network)
 
     def test_non_config_positional_rejected_with_clear_error(self, world):

@@ -1,12 +1,13 @@
-"""Batch-executor equivalence: dedup on/off is sequential Procedure 6.
+"""Batch-executor equivalence: the one execution path is sequential
+Procedure 6.
 
-The ISSUE 5 acceptance property: the staged batch executor
-(``EngineConfig(dedup_subqueries=True)``) — which collects the planned
-sub-queries of all in-flight trips, scans each unique
+The batch executor — which collects the planned sub-queries of all
+in-flight trips, scans each unique
 ``(path, interval, user, beta, exclude)`` task once, and fans the
 answer out to every owner — produces *byte-identical* histograms and
-outcomes to the per-trip sequential loop, across estimator modes,
-sharded vs. monolithic readers, and relaxation-triggering workloads.
+outcomes to the per-trip sequential loop (``tests/sequential_oracle``),
+across estimator modes, sharded vs. monolithic readers, and
+relaxation-triggering workloads.
 The only permitted difference is accounting: per trip,
 ``n_index_scans + n_cache_hits`` equals the uncached sequential scan
 count exactly (a deduplicated fan-out is a hit against the batch's own
@@ -22,13 +23,13 @@ from repro import (
     EngineConfig,
     FixedInterval,
     PeriodicInterval,
-    QueryEngine,
     ShardedSNTIndex,
     SNTIndex,
     TravelTimeDB,
     TripRequest,
     generate_dataset,
 )
+from tests.sequential_oracle import sequential_answers
 
 PARTITION_DAYS = 7
 N_SHARDS = 3
@@ -124,16 +125,15 @@ def test_batch_dedup_bit_identical_to_sequential(world, data):
 
     # Reference: the per-trip sequential loop, uncached (the paper's
     # Procedure 6 exactly, one trip at a time).
-    engine = QueryEngine(index, dataset.network, config)
-    sequential = [engine.query(request) for request in requests]
+    sequential = sequential_answers(index, dataset.network, config, requests)
 
-    # Dedup on, with and without a shared cache backend (the latter
-    # exercises in-batch-only dedup over per-trip caches).
+    # With and without a shared cache backend (the latter exercises
+    # in-batch-only dedup over per-trip caches).
     for cache in ("default", None):
         db = TravelTimeDB(
             index,
             dataset.network,
-            config=config.replace(dedup_subqueries=True),
+            config=config,
             cache=cache,
         )
         results = db.query_many(requests)
@@ -157,11 +157,6 @@ def test_batch_dedup_bit_identical_to_sequential(world, data):
         # Every unique planned sub-query cost at most one scan.
         assert stats.n_index_scans <= stats.unique_subqueries
 
-    # Dedup off over a shared cache: the PR-1 path, same equivalence.
-    plain = TravelTimeDB(index, dataset.network, config=config)
-    assert_equivalent(sequential, plain.query_many(requests))
-    assert plain.last_dedup_stats is None
-
 
 def test_dedup_scans_repeated_batch_once(world):
     """k copies of one request cost exactly one cold scan set."""
@@ -172,7 +167,7 @@ def test_dedup_scans_repeated_batch_once(world):
         interval=PeriodicInterval.around(trip.start_time, 900),
         beta=10,
     )
-    config = EngineConfig(dedup_subqueries=True)
+    config = EngineConfig()
     solo = TravelTimeDB(
         mono, dataset.network, config=config
     ).query_many([request])
@@ -197,7 +192,7 @@ def test_stream_dedup_preserves_order_and_answers(world):
             )
         )
     requests = requests * 2  # repeats across window chunks
-    config = EngineConfig(dedup_subqueries=True)
+    config = EngineConfig()
     reference = TravelTimeDB(
         mono, dataset.network, cache=None
     ).query_many(requests)

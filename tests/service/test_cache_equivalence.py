@@ -1,10 +1,10 @@
 """Cache/batch equivalence: the fast paths are bit-identical to Procedure 6.
 
 The serving layer (``TravelTimeDB.query_many`` over the shared
-``SubQueryCache``) must return *exactly* what a sequential uncached
-engine returns — same histograms, same per-sub-query values, same point
-estimates — across partitioners, splitters, and estimator
-configurations.  The only permitted difference is accounting: cached
+``SubQueryCache``) must return *exactly* what the sequential uncached
+Procedure 6 loop (``tests/sequential_oracle``) returns — same
+histograms, same per-sub-query values, same point estimates — across
+partitioners, splitters, and estimator configurations.  The only permitted difference is accounting: cached
 runs trade index scans for cache hits, and the sum
 ``n_index_scans + n_cache_hits`` is invariant.
 """
@@ -21,9 +21,9 @@ from repro import (
     TripRequest,
 )
 from repro.experiments import build_workload
-from repro.service import TravelTimeService
 
-from tests.typed_api import as_requests, run_trip
+from tests.sequential_oracle import sequential_trip
+from tests.typed_api import as_requests
 
 PARTITIONERS = ("pi_1", "pi_Z", "pi_ZC")
 SPLITTERS = ("regular", "longest_prefix")
@@ -76,20 +76,19 @@ def test_batched_cached_equals_sequential(
 ):
     queries, exclude_ids = jobs
     config = EngineConfig(partitioner=partitioner, splitter=splitter)
-    # A bare QueryEngine is uncached (its cache parameter defaults to
-    # per-trip); config.cache_enabled only matters to session layers.
+    # The oracle runs uncached (per-trip range cache only);
+    # config.cache_enabled only matters to session layers.
     engine = QueryEngine(workload.index, workload.network, config)
     sequential = [
-        run_trip(engine, query, exclude_ids=excluded)
+        sequential_trip(engine, query, exclude_ids=excluded)
         for query, excluded in zip(queries, exclude_ids)
     ]
 
     db = TravelTimeDB(workload.index, workload.network, config=config)
     requests = as_requests(queries, exclude_ids)
-    # Cold pass single-threaded: the exact scans-vs-hits accounting is
-    # only guaranteed without concurrent same-key misses.  The warm pass
-    # fans out — every retrieval is a hit, so the accounting is exact
-    # again and the fan-out path is exercised.
+    # Cold pass single-threaded; the warm pass fans its scans out —
+    # every retrieval is a hit, so nothing is scanned and the accounting
+    # is exact again.
     cold = db.query_many(requests)
     warm = db.query_many(requests, n_workers=3)
     assert_equivalent(sequential, cold)
@@ -115,7 +114,7 @@ def test_equivalence_with_cardinality_estimator(
         workload.index, workload.network, estimator=estimator
     )
     sequential = [
-        run_trip(engine, query, exclude_ids=excluded)
+        sequential_trip(engine, query, exclude_ids=excluded)
         for query, excluded in zip(queries, exclude_ids)
     ]
     config = EngineConfig(estimator_mode=estimator_mode)
@@ -156,17 +155,19 @@ def test_exclude_ids_are_part_of_the_cache_key(workload, jobs):
     for query, excl, with_excl, without_excl in zip(
         queries, exclude_ids, excluded, included
     ):
-        assert with_excl.histogram == run_trip(
+        assert with_excl.histogram == sequential_trip(
             engine, query, exclude_ids=excl
         ).histogram
-        assert without_excl.histogram == run_trip(engine, query).histogram
+        assert without_excl.histogram == sequential_trip(
+            engine, query
+        ).histogram
 
 
 def test_cache_disabled_service_matches_too(workload, jobs):
     queries, exclude_ids = jobs
     engine = QueryEngine(workload.index, workload.network)
     sequential = [
-        run_trip(engine, query, exclude_ids=excluded)
+        sequential_trip(engine, query, exclude_ids=excluded)
         for query, excluded in zip(queries, exclude_ids)
     ]
     db = TravelTimeDB(workload.index, workload.network, cache=None)
@@ -197,25 +198,25 @@ def test_shared_cache_rejects_different_index_or_network(workload):
     from repro.experiments import build_workload
 
     shared = SubQueryCache()
-    TravelTimeService(workload.index, workload.network, cache=shared)
+    TravelTimeDB(workload.index, workload.network, cache=shared)
     other = build_workload("tiny", seed=1)
     with pytest.raises(ValueError, match="bound to a different"):
-        TravelTimeService(other.index, other.network, cache=shared)
+        TravelTimeDB(other.index, other.network, cache=shared)
     with pytest.raises(ValueError, match="bound to a different"):
-        TravelTimeService(workload.index, other.network, cache=shared)
+        TravelTimeDB(workload.index, other.network, cache=shared)
     # The binding is permanent — clear() empties but does not unbind
     # (an in-flight trip could repopulate after the clear).
     shared.clear()
     with pytest.raises(ValueError, match="bound to a different"):
-        TravelTimeService(other.index, other.network, cache=shared)
+        TravelTimeDB(other.index, other.network, cache=shared)
     # Same pair keeps working.
-    TravelTimeService(workload.index, workload.network, cache=shared)
+    TravelTimeDB(workload.index, workload.network, cache=shared)
 
 
 def test_engine_rejects_mismatched_index_network_pair(workload):
     """A mismatched pair would answer silently wrong (unknown edges get
     empty ISA ranges + the wrong network's fallback); the engine — and
-    therefore TravelTimeService/from_saved — must refuse it up front."""
+    therefore TravelTimeDB/open_db — must refuse it up front."""
     from repro import Edge, QueryEngine, RoadCategory
     from repro.errors import QueryError
     from repro.network import RoadNetwork, ZoneType
@@ -237,11 +238,13 @@ def test_engine_rejects_mismatched_index_network_pair(workload):
     with pytest.raises(QueryError, match="alphabet"):
         QueryEngine(workload.index, foreign)
     with pytest.raises(QueryError, match="alphabet"):
-        TravelTimeService(workload.index, foreign)
+        TravelTimeDB(workload.index, foreign)
 
 
 def test_invalid_cache_and_workers_raise(workload):
     with pytest.raises(ValueError):
-        TravelTimeService(workload.index, workload.network, cache="bogus")
+        TravelTimeDB(workload.index, workload.network, cache="bogus")
     with pytest.raises(ValueError):
-        TravelTimeService(workload.index, workload.network, n_workers=0)
+        TravelTimeDB(workload.index, workload.network).query_many(
+            [], n_workers=0
+        )

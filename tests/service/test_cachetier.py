@@ -6,11 +6,11 @@ Three contracts are enforced here:
    ``CacheBackend``; LRU eviction and hit/miss accounting are observable
    through the protocol alone, whichever backend is plugged in.
 2. **Bit-identity** — answers with the shared tier on are exactly the
-   uncached answers, across thread and fork fan-out, and across a second
+   uncached answers, with and without scan fan-out, and across a second
    *fresh* handle (a new process's view of the store).
 3. **Epoch invalidation across processes** — entries written before an
    ``append()`` are never served after the epoch bump, even by handles
-   (or forked workers) that never observed the append call.
+   (or forked processes) that never observed the append call.
 """
 
 import numpy as np
@@ -233,7 +233,7 @@ def test_tier_rejects_store_of_different_world(world, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Bit-identity with the tier on/off, across thread and fork fan-out
+# Bit-identity with the tier on/off, with and without scan fan-out
 # --------------------------------------------------------------------- #
 
 
@@ -248,9 +248,6 @@ def test_tier_answers_bit_identical_across_fanout_modes(world, tmp_path):
     for results in (
         db.query_many(requests),                      # cold, sequential
         db.query_many(requests, n_workers=3),         # warm, threads
-        db.query_many(
-            requests, n_workers=2, use_processes=True
-        ),                                            # warm, forked
     ):
         for want, got in zip(expected, results):
             assert_bit_identical(want, got)
@@ -262,34 +259,6 @@ def test_tier_answers_bit_identical_across_fanout_modes(world, tmp_path):
     assert sum(r.n_index_scans for r in warm) == 0
     for want, got in zip(expected, warm):
         assert_bit_identical(want, got)
-
-
-def test_forked_workers_write_through_the_shared_tier(world, tmp_path):
-    """Fork fan-out must open the tier (not an empty spawn): entries a
-    worker computes are visible to fresh sessions afterwards."""
-    dataset, index, trips = world
-    requests = requests_for(trips, 4)
-    spec = EngineConfig(cache=f"shared:{tmp_path / 'tier'}")
-    db = TravelTimeDB(index, dataset.network, config=spec)
-    db.query_many(requests, n_workers=2, use_processes=True)
-
-    fresh = TravelTimeDB(index, dataset.network, config=spec)
-    warm = fresh.query_many(requests)
-    assert sum(r.n_index_scans for r in warm) == 0
-    assert sum(r.n_cache_hits for r in warm) > 0
-
-
-def test_spawn_for_worker_shares_store_without_parent_state(tmp_path):
-    tier = SharedCacheTier(tmp_path / "tier", config=EngineConfig())
-    tier.put_ranges((1, 2), [(0, 0, 5)])
-    worker_view = tier.spawn_for_worker()
-    assert worker_view is not tier
-    assert worker_view.get_ranges((1, 2)) == [(0, 0, 5)]
-    # The in-process SubQueryCache spawns empty instead.
-    cache = SubQueryCache(max_ranges=7)
-    spawned = cache.spawn_for_worker()
-    assert spawned.stats().ranges.size == 0
-    assert spawned.stats().ranges.max_size == 7
 
 
 # --------------------------------------------------------------------- #
@@ -451,7 +420,7 @@ def test_append_invalidation_observed_by_forked_process(world, tmp_path):
 
     def answer_in_child(request):
         # Fresh tier handle in the worker, as a separate serving process
-        # (or a fork fan-out worker) would build it.
+        # would build it.
         child_db = TravelTimeDB(sharded, dataset.network, config=spec)
         return child_db.query(request)
 
@@ -542,8 +511,6 @@ def test_store_bound_survives_worker_spawn_and_epoch_sync(
     tier = SharedCacheTier(
         tmp_path / "tier", config=EngineConfig(), max_store_entries=3
     )
-    worker = tier.spawn_for_worker()
-    assert worker._max_store_entries == 3
     db = TravelTimeDB(index, dataset.network, cache=tier)
     db.query_many(requests_for(trips, 6))
     assert tier.tier_stats().db_entries <= 3
@@ -602,12 +569,6 @@ class TestSharedTierTTL:
         # Expiry only ever forces recomputation, never a different
         # answer, so the TTL is excluded from the cache identity.
         assert config.cache_identity() == EngineConfig().cache_identity()
-
-    def test_worker_spawn_inherits_ttl(self, tmp_path):
-        tier = SharedCacheTier(
-            tmp_path / "tier", config=EngineConfig(), max_age_s=30.0
-        )
-        assert tier.spawn_for_worker()._max_age_s == 30.0
 
     def test_stale_entries_are_misses_for_fresh_handles(self, tmp_path):
         """Reads are stamp-filtered: an expired row is a miss in every

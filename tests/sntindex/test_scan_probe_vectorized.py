@@ -149,6 +149,42 @@ def demand_sets(draw):
     return items
 
 
+def with_shared_first_edge(data, trajectories, demands):
+    """``demands`` plus two queries on prefixes of one indexed trajectory.
+
+    Both paths occur in the index and start on the same edge, and the
+    first selects that trajectory's own traversal, so at least two
+    demands share a first edge with candidate rows: the grouped
+    multi-query branch of the scan runs on every example, not only when
+    the random draw happens to produce such a pair.
+    """
+    trajectory = data.draw(
+        st.sampled_from(list(trajectories)), label="shared trajectory"
+    )
+    items = list(demands)
+    for position in range(2):
+        drawn = data.draw(queries(), label="partner query")
+        length = data.draw(st.integers(1, len(trajectory.path)))
+        interval = (
+            FixedInterval(0, 5 * SECONDS_PER_DAY)
+            if position == 0
+            else drawn.interval
+        )
+        query = StrictPathQuery(
+            path=tuple(trajectory.path[:length]),
+            interval=interval,
+            user=drawn.user,
+            beta=drawn.beta,
+        )
+        exclude = tuple(
+            data.draw(st.lists(st.integers(0, 11), max_size=2, unique=True))
+        )
+        items.insert(
+            data.draw(st.integers(0, len(items))), (query, exclude)
+        )
+    return items
+
+
 # --------------------------------------------------------------------- #
 # Probe join vs. the dict oracle
 # --------------------------------------------------------------------- #
@@ -374,8 +410,9 @@ def _fallback(edge):
 
 
 @settings(max_examples=60, deadline=None)
-@given(trajectory_sets(), demand_sets())
-def test_grouped_monolithic_matches_scalar_loop(trajectories, demands):
+@given(trajectory_sets(), demand_sets(), st.data())
+def test_grouped_monolithic_matches_scalar_loop(trajectories, demands, data):
+    demands = with_shared_first_edge(data, trajectories, demands)
     index = SNTIndex.build(trajectories, alphabet_size=N_EDGES + 1)
     items = [(query, exclude, None) for query, exclude in demands]
     got = monolithic_travel_times_many(index, items, fallback_tt=_fallback)
@@ -387,8 +424,9 @@ def test_grouped_monolithic_matches_scalar_loop(trajectories, demands):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trajectory_sets(), demand_sets())
-def test_grouped_first_segment_matches_scalar(trajectories, demands):
+@given(trajectory_sets(), demand_sets(), st.data())
+def test_grouped_first_segment_matches_scalar(trajectories, demands, data):
+    demands = with_shared_first_edge(data, trajectories, demands)
     index = SNTIndex.build(
         trajectories, alphabet_size=N_EDGES + 1, partition_days=1
     )

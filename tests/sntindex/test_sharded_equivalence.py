@@ -6,9 +6,11 @@ monolithic index — histograms, estimated means, per-sub-query value
 arrays, scan counts — across partitioners, splitters, and estimator
 modes; including fixed intervals straddling shard boundaries, global
 beta cuts that span shards, and queries after ``append()`` through the
-staging shard.  Random workloads are drawn with hypothesis; the
-deterministic tests pin the seams (append ordering, epoch-based cache
-invalidation, persistence, parallel builds, process fan-out).
+staging shard.  The monolithic reference runs the sequential Procedure 6
+loop (``tests/sequential_oracle``); the sharded side runs the batch
+executor.  Random workloads are drawn with hypothesis; the deterministic
+tests pin the seams (append ordering, epoch-based cache invalidation,
+persistence, parallel builds).
 """
 
 import numpy as np
@@ -28,7 +30,6 @@ from repro import (
     SubQueryCache,
     TrajectorySet,
     TravelTimeDB,
-    TravelTimeService,
     TripRequest,
     generate_dataset,
 )
@@ -36,6 +37,7 @@ from repro.config import SECONDS_PER_DAY
 from repro.errors import IndexError_, PersistenceError, ShardError
 from repro.sntindex.sharded import load_any_index, read_any_meta
 
+from tests.sequential_oracle import sequential_trip
 from tests.typed_api import as_requests, run_trip
 
 
@@ -203,7 +205,7 @@ def test_random_workloads_bit_identical(world, engines, data):
         path=trip.path, interval=interval, user=user, beta=beta
     )
     engine_mono, engine_sharded = engines(partitioner, splitter, mode)
-    expected = run_trip(engine_mono, query, exclude_ids=(trip.traj_id,))
+    expected = sequential_trip(engine_mono, query, exclude_ids=(trip.traj_id,))
     actual = run_trip(engine_sharded, query, exclude_ids=(trip.traj_id,))
     assert_bit_identical(expected, actual)
 
@@ -290,7 +292,7 @@ def test_append_is_bit_identical_to_full_rebuild(world):
             beta=10,
         )
         assert_bit_identical(
-            run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
+            sequential_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
             run_trip(engine_sharded, query, exclude_ids=(trip.traj_id,)),
         )
 
@@ -307,7 +309,7 @@ def test_append_is_bit_identical_to_full_rebuild(world):
         beta=10,
     )
     assert_bit_identical(
-        run_trip(engine_mono, query, exclude_ids=(trips[0].traj_id,)),
+        sequential_trip(engine_mono, query, exclude_ids=(trips[0].traj_id,)),
         run_trip(engine_sharded, query, exclude_ids=(trips[0].traj_id,)),
     )
 
@@ -394,7 +396,7 @@ def test_append_invalidates_shared_cache(world):
 
     engine_mono = QueryEngine(mono, dataset.network)
     for query, actual in zip(queries, post_append):
-        assert_bit_identical(run_trip(engine_mono, query), actual)
+        assert_bit_identical(sequential_trip(engine_mono, query), actual)
 
 
 def test_router_stats_survive_appends(world):
@@ -557,28 +559,9 @@ def test_parallel_build_equals_inline_build(world):
             beta=10,
         )
         assert_bit_identical(
-            run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
+            sequential_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
             run_trip(engine_parallel, query, exclude_ids=(trip.traj_id,)),
         )
-
-
-def test_process_fanout_matches_threaded_batches(world):
-    dataset, mono, sharded, trips = world
-    db = TravelTimeDB(sharded, dataset.network, cache=None)
-    queries = [
-        StrictPathQuery(
-            path=trip.path,
-            interval=PeriodicInterval.around(trip.start_time, 900),
-            beta=10,
-        )
-        for trip in trips[:8]
-    ]
-    exclude_ids = [(trip.traj_id,) for trip in trips[:8]]
-    requests = as_requests(queries, exclude_ids)
-    threaded = db.query_many(requests)
-    forked = db.query_many(requests, n_workers=2, use_processes=True)
-    for expected, actual in zip(threaded, forked):
-        assert_bit_identical(expected, actual)
 
 
 # --------------------------------------------------------------------- #
@@ -623,7 +606,7 @@ def test_sharded_persistence_roundtrip(world, tmp_path):
             beta=10,
         )
         assert_bit_identical(
-            run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
+            sequential_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
             run_trip(engine_loaded, query, exclude_ids=(trip.traj_id,)),
         )
 
@@ -676,7 +659,7 @@ def test_service_cold_start_from_sharded_dir(world, tmp_path):
         beta=10,
     )
     assert_bit_identical(
-        run_trip(engine_mono, query, exclude_ids=(trips[0].traj_id,)),
+        sequential_trip(engine_mono, query, exclude_ids=(trips[0].traj_id,)),
         db.query(
             TripRequest.from_spq(query, exclude_ids=(trips[0].traj_id,))
         ),
@@ -714,7 +697,7 @@ def test_object_store_pagein_answers_identically(world, tmp_path):
             beta=10,
         )
         assert_bit_identical(
-            run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
+            sequential_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
             run_trip(engine_loaded, query, exclude_ids=(trip.traj_id,)),
         )
 
@@ -734,7 +717,7 @@ def test_monolithic_object_store_roundtrip(world, tmp_path):
         interval=PeriodicInterval.around(trips[0].start_time, 900),
     )
     assert_bit_identical(
-        run_trip(engine_mono, query), run_trip(engine_loaded, query)
+        sequential_trip(engine_mono, query), run_trip(engine_loaded, query)
     )
 
 
@@ -765,7 +748,9 @@ def test_compacted_saved_layout_equivalent_across_modes(world, tmp_path):
                 beta=10,
             )
             assert_bit_identical(
-                run_trip(engine_oracle, query, exclude_ids=(trip.traj_id,)),
+                sequential_trip(
+                    engine_oracle, query, exclude_ids=(trip.traj_id,)
+                ),
                 run_trip(
                     engine_compacted, query, exclude_ids=(trip.traj_id,)
                 ),

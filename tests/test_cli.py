@@ -457,7 +457,7 @@ class TestServe:
         assert config.max_batch == 8
         assert config.max_inflight == 32
         assert config.executor_workers == 3
-        assert captured["db"].config.dedup_subqueries is True
+        assert captured["db"].config.n_workers == 1
 
 
 def _all_repro_error_types():

@@ -70,7 +70,9 @@ def test_batch_service_modes_and_equivalence(workload):
     for result in results:
         assert result.n_index_scans + result.n_cache_hits == work
     assert by_mode["sequential"].n_cache_hits == 0
-    assert by_mode["batched"].n_cache_hits == 0
+    # Without a shared cache the batch still scans each repeated
+    # request's sub-queries once: the copy rides on the first's scan.
+    assert by_mode["batched"].n_cache_hits == work // 2
     assert by_mode["cached-warm"].n_index_scans == 0
 
 
