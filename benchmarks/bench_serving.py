@@ -70,7 +70,7 @@ def test_concurrent_clients_outpace_sequential_serving(workload):
     db = open_db(
         workload.index,
         network=workload.network,
-        config=EngineConfig(cache_enabled=False),
+        config=EngineConfig(cache="off"),
     )
     expected = {
         id(request): result.histogram

@@ -12,8 +12,11 @@ One entry point for every workload over one index::
 A session owns the index reader (monolithic :class:`~repro.SNTIndex` or
 sharded :class:`~repro.ShardedSNTIndex`, loaded transparently via
 ``load_any_index`` when a path is given), the road network, one
-:class:`~repro.api.EngineConfig`, and the shared cross-query
-:class:`~repro.service.SubQueryCache`.  All three batch surfaces —
+:class:`~repro.api.EngineConfig`, and the cross-query cache backend its
+``cache`` spec selects (an in-process
+:class:`~repro.service.SubQueryCache` by default, a cross-process
+:class:`~repro.service.cachetier.SharedCacheTier`, or none).  All three
+batch surfaces —
 :meth:`TravelTimeDB.query`, :meth:`~TravelTimeDB.query_many`, and the
 streaming generator :meth:`~TravelTimeDB.stream` — run through the one
 deduplicating batch executor and answer bit-identically to sequential
@@ -82,12 +85,11 @@ class TravelTimeDB:
         ``"default"`` resolves the backend from ``config`` (the
         ``config.cache`` spec — in-process :class:`SubQueryCache`,
         cross-process :class:`~repro.service.cachetier.SharedCacheTier`,
-        or none; with ``config.cache=None`` the ``cache_enabled`` /
-        ``cache_entries`` knobs apply); ``None`` disables cross-query
-        caching; or pass a backend directly to control its bounds or to
-        share one cache between sessions *over the same index and
-        network* — a cache binds permanently to the first (index,
-        network) pair it serves and rejects any other.
+        or none, bounded by ``config.cache_entries``); ``None`` disables
+        cross-query caching; or pass a backend directly to control its
+        bounds or to share one cache between sessions *over the same
+        index and network* — a cache binds permanently to the first
+        (index, network) pair it serves and rejects any other.
 
     Usable as a context manager; closing clears the shared cache.
     """

@@ -639,7 +639,7 @@ def _cmd_batch(args) -> int:
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None
-                else None
+                else "memory"
             ),
         ),
     )
@@ -710,7 +710,7 @@ def _cmd_serve(args) -> int:
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None
-                else None
+                else "memory"
             ),
             cache_ttl_s=args.cache_ttl_s,
         ),

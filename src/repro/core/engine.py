@@ -36,7 +36,6 @@ from .exec import (
     BatchExecutor,
     DedupStats,
     TripMachine,
-    convolve_histograms,
     prefetch_ranges_many,
 )
 from .plan import PlanPolicy
@@ -293,12 +292,6 @@ class QueryEngine:
         self.config = config
         #: The planner's config snapshot; shared by every trip machine.
         self.policy = PlanPolicy.from_config(config)
-        self.partitioner_name = self.policy.partitioner_name
-        self.splitter_name = self.policy.splitter
-        self.ladder = self.policy.ladder
-        self.bucket_width_s = self.policy.bucket_width_s
-        self.shift_and_enlarge = self.policy.shift_and_enlarge
-        self.beta_policy = self.policy.beta_policy
         #: Estimators built per requested mode, shared across trips.  A
         #: CardinalityEstimator is stateless after construction, so one
         #: instance per mode serves concurrent threads; the dict itself
@@ -324,15 +317,12 @@ class QueryEngine:
     # Public API
     # ------------------------------------------------------------------ #
 
-    def query(
-        self, request: "TripRequest", cache=None
-    ) -> TripQueryResult:
+    def query(self, request: "TripRequest") -> TripQueryResult:
         """Answer one typed :class:`repro.api.TripRequest`.
 
         A batch of one through :meth:`run_batch`: the request's
-        estimator mode overrides the engine default, ``cache`` overrides
-        the engine-level cache for this call, and the result carries the
-        request as a back-reference.
+        estimator mode overrides the engine default, and the result
+        carries the request as a back-reference.
         """
         if not hasattr(request, "to_spq"):
             # The exact migration mistake the deprecation message invites:
@@ -343,8 +333,7 @@ class QueryEngine:
                 "TripRequest.from_spq(...)"
             )
         (result,), _ = self.run_batch(
-            [(request.to_spq(), request.exclude_ids, request.estimator)],
-            cache=cache,
+            [(request.to_spq(), request.exclude_ids, request.estimator)]
         )
         result.request = request
         return result
@@ -436,8 +425,3 @@ class QueryEngine:
         sync_epoch = getattr(cache, "sync_epoch", None)
         if sync_epoch is not None:
             sync_epoch(self.index)
-
-    def _convolve(self, histograms: List[Histogram]) -> Histogram:
-        """Combine stage over this engine's bucket width
-        (:func:`repro.core.exec.convolve_histograms`)."""
-        return convolve_histograms(histograms, self.bucket_width_s)

@@ -13,12 +13,14 @@ it.  Two pieces, and together they are the only way a query runs:
 * :class:`BatchExecutor` — the round-based driver, for a batch of one
   trip as for thousands: collect the pending demands of every in-flight
   trip, deduplicate identical :class:`~repro.core.plan.SubQueryTask`
-  keys, scan each unique key once (grouped per edge and per shard when
-  the reader supports ``get_travel_times_many``), and fan each answer
-  out to every owning trip.  Owners that did not pay the scan account a
-  cache hit, exactly as they would have in a sequential pass over a
-  shared cache, so ``scans + hits`` stays invariant and histograms stay
-  byte-identical to sequential Procedure 6.
+  keys, scan each unique key once through the reader's
+  ``get_travel_times_many`` (grouped per edge and per shard), and fan
+  each answer out to every owning trip.  Owners that did not pay the
+  scan account a cache hit, exactly as they would have in a sequential
+  pass over a shared cache, so ``scans + hits`` stays invariant and
+  histograms stay byte-identical to sequential Procedure 6.  The last
+  trip in flight runs its remaining rounds as scans of one, without the
+  dedup bookkeeping (``BatchExecutor._drive_lone``).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .spq import StrictPathQuery
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..network.graph import RoadNetwork
+    from ..sntindex.procedures import TravelTimeItem, TravelTimeResult
     from ..sntindex.reader import IndexReader
     from .engine import SubQueryOutcome, TripQueryResult
 
@@ -183,10 +186,6 @@ class TripMachine:
             seen.add(key)
             pending.append(sub.path)
         return pending
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
 
     def advance(self) -> Optional[FetchDemand]:
         """Plan until the next scan is needed, or finish the trip.
@@ -330,9 +329,6 @@ def prefetch_ranges_many(
     the bulk crossover.  Pure cache warming with bit-identical ranges,
     so results and dedup statistics are unchanged.
     """
-    batched = getattr(index, "isa_ranges_many", None)
-    if batched is None:
-        return
     order: List[Sequence[int]] = []
     owners: Dict[Tuple[int, ...], List[TripMachine]] = {}
     for machine in machines:
@@ -346,21 +342,16 @@ def prefetch_ranges_many(
                 holders.append(machine)
     if len(order) < 2:  # nothing to amortise
         return
-    for path, ranges in zip(order, batched(order)):
+    for path, ranges in zip(order, index.isa_ranges_many(order)):
         for machine in owners[tuple(path)]:
             machine.cache.put_ranges(path, ranges)
 
 
-def _scan_one(
-    index: "IndexReader", network: "RoadNetwork", demand: FetchDemand
-) -> Any:
-    """The reader's scalar scan for one demand."""
-    return index.get_travel_times(
-        demand.task.query,
-        fallback_tt=network.estimate_tt,
-        exclude_ids=demand.task.exclude_ids,
-        isa_ranges=demand.ranges,
-    )
+def _items(demands: Sequence[FetchDemand]) -> List[TravelTimeItem]:
+    return [
+        (demand.task.query, demand.task.exclude_ids, demand.ranges)
+        for demand in demands
+    ]
 
 
 def _scan_demands(
@@ -368,55 +359,35 @@ def _scan_demands(
     network: "RoadNetwork",
     demands: Sequence[FetchDemand],
     n_workers: int,
-) -> List[Any]:
+) -> List[TravelTimeResult]:
     """Scan stage over unique demands, in demand order.
 
-    Readers that expose ``get_travel_times_many`` (both built-in index
-    kinds) answer the whole set in one call — the monolithic index
-    groups queries by first/last edge so each edge's interval selection
-    and probe join run once per round, and the sharded router
-    additionally walks each shard's columns contiguously; duck-typed
-    readers without the method loop.  Thread fan-out is safe because
-    every demand is a distinct key and index reads are immutable during
-    a batch.
+    The reader answers the whole set in one ``get_travel_times_many``
+    call, so queries sharing a first or last edge share that edge's
+    interval selection and probe join, shard by shard.  With
+    ``n_workers > 1`` the set is cut into contiguous slices, one grouped
+    call per thread: every demand is a distinct key and index reads are
+    immutable during a batch (the router's counters are locked).
     """
-    many = getattr(index, "get_travel_times_many", None)
-    if many is not None:
-        items = [
-            (demand.task.query, demand.task.exclude_ids, demand.ranges)
-            for demand in demands
+    items = _items(demands)
+    if n_workers > 1 and len(items) > 1:
+        width = min(n_workers, len(items))
+        step = -(-len(items) // width)  # ceil division
+        slices = [
+            items[start : start + step]
+            for start in range(0, len(items), step)
         ]
-        if n_workers > 1 and len(items) > 1:
-            # Contiguous slices, one grouped call per worker: per-shard
-            # locality within each slice, real fan-out across slices
-            # (router reads are immutable; its counters are locked).
-            width = min(n_workers, len(items))
-            step = -(-len(items) // width)  # ceil division
-            slices = [
-                items[start : start + step]
-                for start in range(0, len(items), step)
-            ]
-            with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-                parts = list(
-                    pool.map(
-                        lambda chunk: list(
-                            many(chunk, fallback_tt=network.estimate_tt)
-                        ),
-                        slices,
-                    )
+        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+            parts = list(
+                pool.map(
+                    lambda chunk: index.get_travel_times_many(
+                        chunk, fallback_tt=network.estimate_tt
+                    ),
+                    slices,
                 )
-            return [result for part in parts for result in part]
-        return list(many(items, fallback_tt=network.estimate_tt))
-
-    def scan(demand: FetchDemand) -> Any:
-        return _scan_one(index, network, demand)
-
-    if n_workers > 1 and len(demands) > 1:
-        with ThreadPoolExecutor(
-            max_workers=min(n_workers, len(demands))
-        ) as pool:
-            return list(pool.map(scan, demands))
-    return [scan(demand) for demand in demands]
+            )
+        return [result for part in parts for result in part]
+    return index.get_travel_times_many(items, fallback_tt=network.estimate_tt)
 
 
 @dataclass
@@ -492,22 +463,10 @@ class BatchExecutor:
         self.n_workers = max(1, int(n_workers))
         self.stats = DedupStats()
 
-    def _store_results(
-        self, answered: Sequence[Tuple[SubQueryKey, Any]]
-    ) -> None:
-        """Store a round's scans (``put_results_many`` when offered; the
-        single-key fallback keeps duck-typed backends working)."""
-        many = getattr(self.cache, "put_results_many", None)
-        if many is not None:
-            many(answered)
-            return
-        for key, result in answered:
-            self.cache.put_result(key, result)
-
     def _drive_lone(self, machine: TripMachine, demand: FetchDemand) -> None:
         """Finish the last in-flight trip.  With one owner there is
-        nothing to group or fan out, so each round is a plain scan the
-        owner pays — a lone query runs at sequential-loop cost."""
+        nothing to deduplicate or fan out, so each round is a scan of one
+        the owner pays — a lone query runs at sequential-loop cost."""
         stats = self.stats
         next_demand: Optional[FetchDemand] = demand
         while next_demand is not None:
@@ -515,9 +474,11 @@ class BatchExecutor:
             stats.planned_subqueries += 1
             stats.unique_subqueries += 1
             stats.n_index_scans += 1
-            result = _scan_one(self.index, self.network, next_demand)
+            (result,) = self.index.get_travel_times_many(
+                _items([next_demand]), fallback_tt=self.network.estimate_tt
+            )
             if self.cache is not None:
-                self._store_results([(next_demand.key, result)])
+                self.cache.put_results_many([(next_demand.key, result)])
             next_demand = machine.resume(result, True)
 
     def run(
@@ -553,7 +514,7 @@ class BatchExecutor:
             stats.n_index_scans += len(scanned)
             answers = dict(zip(first, scanned))
             if self.cache is not None:
-                self._store_results(list(answers.items()))
+                self.cache.put_results_many(list(answers.items()))
 
             next_pending: List[Tuple[TripMachine, FetchDemand]] = []
             for machine, demand in pending:

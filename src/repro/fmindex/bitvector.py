@@ -338,14 +338,6 @@ class RankBitvector:
             ranks += np.where(tail > 0, tail_counts, 0)
         return ranks
 
-    def rank0_bulk(self, positions: npt.ArrayLike) -> npt.NDArray[np.int64]:
-        """Vectorised :meth:`rank0`; validated like :meth:`rank1_bulk`."""
-        pos = self._validated_positions(positions)
-        if pos.size == 0:
-            return pos
-        result: npt.NDArray[np.int64] = pos - self._rank1_bulk_unchecked(pos)
-        return result
-
     @property
     def n_ones(self) -> int:
         """Total number of set bits."""

@@ -194,16 +194,6 @@ class SubQueryCache:
                     "one cache per (index, network) pair"
                 )
 
-    def spawn_empty(self) -> "SubQueryCache":
-        """A fresh, unbound cache with this cache's per-section bounds —
-        the same memory ceiling for a session over other data (a bound
-        cache rejects any other index)."""
-        return SubQueryCache(
-            max_ranges=self._ranges.max_entries,
-            max_results=self._results.max_entries,
-            max_histograms=self._histograms.max_entries,
-        )
-
     def sync_epoch(self, index) -> None:
         """Drop entries cached against an earlier state of ``index``.
 

@@ -826,10 +826,7 @@ def resolve_cache_backend(
 
     The ``config.cache`` spec:
 
-    * ``None`` — legacy behaviour: an in-process
-      :class:`SubQueryCache` when ``config.cache_enabled``, else no
-      shared cache;
-    * ``"memory"`` — the in-process cache, explicitly;
+    * ``"memory"`` (the default) — an in-process :class:`SubQueryCache`;
     * ``"off"`` — no shared cache (per-trip caching only);
     * ``"shared"`` — a :class:`SharedCacheTier` under
       ``<index dir>/cache/`` (the index must have been loaded from
@@ -838,8 +835,6 @@ def resolve_cache_backend(
       directory.
     """
     spec = config.cache
-    if spec is None:
-        spec = "memory" if config.cache_enabled else "off"
     if spec == "off":
         return None
     if spec == "memory":

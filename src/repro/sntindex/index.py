@@ -28,6 +28,7 @@ from ..temporal.records import TraversalColumns
 from ..trajectories.model import TrajectorySet
 from .partition import IndexPartition, build_partition
 from .persistence import load_index, save_index
+from .procedures import count_matches_over_shards, travel_times_over_shards
 from .store import ShardStore
 
 __all__ = ["SNTIndex", "BuildStats", "assign_time_windows", "window_bounds"]
@@ -352,43 +353,24 @@ class SNTIndex:
         return 0 <= traj_id < self.users.size and self.users[traj_id] >= 0
 
     # ------------------------------------------------------------------ #
-    # Retrieval (IndexReader protocol; delegates to the procedures)
+    # Retrieval (IndexReader protocol; this index as a one-shard list)
     # ------------------------------------------------------------------ #
-
-    def get_travel_times(
-        self,
-        query,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ):
-        """Procedure 5 over this index (see :mod:`.procedures`)."""
-        from .procedures import monolithic_travel_times
-
-        return monolithic_travel_times(
-            self,
-            query,
-            fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
-        )
 
     def get_travel_times_many(
         self,
         items: Sequence[Tuple],
         fallback_tt=None,
     ):
-        """Procedure 5 for a deduplicated demand set (``(query,
-        exclude_ids, isa_ranges)`` triples), with queries sharing a
-        first or last edge grouped so that edge's interval selection and
-        probe join run once for the group — bit-identical per item to
-        :meth:`get_travel_times` (see
-        :func:`repro.sntindex.procedures.monolithic_travel_times_many`).
-        """
-        from .procedures import monolithic_travel_times_many
-
-        return monolithic_travel_times_many(
-            self, items, fallback_tt=fallback_tt
+        """Procedure 5 for a demand set (``(query, exclude_ids,
+        isa_ranges)`` triples): this index as a one-shard list (see
+        :func:`repro.sntindex.procedures.travel_times_over_shards`)."""
+        return travel_times_over_shards(
+            [self],
+            [
+                (query, exclude_ids, ((0, isa_ranges),))
+                for query, exclude_ids, isa_ranges in items
+            ],
+            fallback_tt,
         )
 
     def count_matches(
@@ -400,15 +382,8 @@ class SNTIndex:
         limit: Optional[int] = None,
     ) -> int:
         """Exact strict-path match count (see :mod:`.procedures`)."""
-        from .procedures import monolithic_count_matches
-
-        return monolithic_count_matches(
-            self,
-            path,
-            interval,
-            user=user,
-            exclude_ids=exclude_ids,
-            limit=limit,
+        return count_matches_over_shards(
+            [self], path, interval, user, exclude_ids, limit
         )
 
     def data_time_bounds(self) -> Tuple[int, int]:

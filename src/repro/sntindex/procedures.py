@@ -5,7 +5,7 @@ path, filtering by time interval, ISA range and user predicate, and maps
 ``(d, seq)`` to the antecedent aggregate ``a - TT``.  ``probeMap`` scans
 the *last* segment and emits ``a_last - (a_first - TT_first)`` — the exact
 travel time over the whole path — for every record whose ``(d, seq + 1 -
-l)`` hits the map.  ``get_travel_times`` (Procedure 5) glues both together
+l)`` hits the map.  ``getTravelTimes`` (Procedure 5) glues both together
 behind the FM-index ISA range.
 
 The implementation is column-oriented: the forest returns candidate row
@@ -25,22 +25,24 @@ Duplicate ``(d, seq)`` keys among the first-segment matches keep the
 overwrite; emission order reproduces the historical candidate scan by
 sorting the joined rows back to ascending column position.
 
-The retrieval is split in two phases so a sharded index can run them per
-shard and merge: :func:`first_segment_matches` (Procedure 3's scan and
-filters, returning the matched first-segment rows) and
-:func:`probe_travel_times` (Procedures 3-4's map build and probe,
+Both phases answer a whole demand set per index:
+:func:`first_segment_matches_many` (Procedure 3's scan and filters) and
+:func:`probe_travel_times_many` (Procedures 3-4's map build and probe,
 returning the travel times plus the entry timestamps that order them).
-Merging per-shard outputs on ``(entry time, shard order)`` reproduces the
-monolithic row order exactly, because each shard's rows are a stable
-restriction of the monolithic t-sorted columns.
+Queries are grouped by first (respectively last) edge, each edge's
+interval selection and ISA-bound table is built once for the group over
+stacked query bounds, and the probe join runs one concatenated
+``searchsorted`` per edge.
 
-Both phases also come in grouped ``*_many`` forms that answer a whole
-demand set with the per-edge work shared: queries are grouped by first
-(respectively last) edge, each edge's interval selection and ISA-bound
-table is built once for the group over stacked query bounds, and the
-probe join runs one concatenated ``searchsorted`` per edge.  The grouped
-forms are bit-identical to mapping the scalar forms over the set — the
-batch executor and the shard router both rely on that.
+:func:`travel_times_over_shards` is the one Procedure 5: it runs both
+phases over an ordered list of shards, applies the global ascending
+entry-time ``beta`` cut and the classification between them, and merges
+per-shard outputs on ``(entry time, shard order)``.  A monolithic index
+is the one-shard list; the sharded router adds only routing and
+partition-id translation.  :func:`count_matches_over_shards` is the one
+match counter.  :func:`get_travel_times` and :func:`count_matches` are
+the paper-named entry points over any
+:class:`~repro.sntindex.reader.IndexReader`.
 """
 
 from __future__ import annotations
@@ -77,13 +79,11 @@ __all__ = [
     "TravelTimeResult",
     "first_segment_matches",
     "first_segment_matches_many",
-    "probe_travel_times",
     "probe_travel_times_many",
+    "travel_times_over_shards",
+    "count_matches_over_shards",
     "get_travel_times",
-    "monolithic_travel_times",
-    "monolithic_travel_times_many",
     "count_matches",
-    "monolithic_count_matches",
 ]
 
 Int64Array = npt.NDArray[np.int64]
@@ -94,6 +94,15 @@ MatchItem = Tuple[StrictPathQuery, Sequence[int], Optional[int],
                   Optional[IsaRanges]]
 #: One grouped-probe work item: ``(query, selected_rows, first_columns)``.
 ProbeEntry = Tuple[StrictPathQuery, Int64Array, TraversalColumns]
+#: One reader-level demand: ``(query, exclude_ids, isa_ranges)``, where
+#: ``None`` ranges are resolved by the index.
+TravelTimeItem = Tuple[StrictPathQuery, Sequence[int], Optional[IsaRanges]]
+#: One demand over a shard list: ``(query, exclude_ids, scans)``, where
+#: ``scans`` names, in ascending list order, each shard position to scan
+#: with the query's ISA ranges in that shard's partition ids (``None``
+#: resolves them on the shard).
+ShardDemand = Tuple[StrictPathQuery, Sequence[int],
+                    Sequence[Tuple[int, Optional[IsaRanges]]]]
 
 
 @dataclass
@@ -421,28 +430,17 @@ def _join_probe(
     )
 
 
-def probe_travel_times(
-    index: "SNTIndex",
-    query: StrictPathQuery,
-    selected: Int64Array,
-    columns: TraversalColumns,
-) -> Tuple[Float64Array, Int64Array]:
-    """Procedures 3-4 given the (already beta-cut) first-segment rows.
-
-    Returns ``(values, order_t)``: the travel times of the matched
-    traversals plus, per value, the entry timestamp of the record that
-    emitted it (the first segment for single-segment paths, the last
-    segment otherwise).  ``values`` is in the scan order of this index's
-    columns; ``order_t`` is what a sharded router merges on to reproduce
-    the monolithic emission order across shards.
-    """
-    return probe_travel_times_many(index, [(query, selected, columns)])[0]
-
-
 def probe_travel_times_many(
     index: "SNTIndex", entries: Sequence[ProbeEntry]
 ) -> List[Tuple[Float64Array, Int64Array]]:
-    """Grouped :func:`probe_travel_times` over a demand set.
+    """Procedures 3-4 for a demand set, given each entry's (already
+    beta-cut) first-segment rows.
+
+    Returns ``(values, order_t)`` per entry: the travel times of the
+    matched traversals in this index's column scan order plus, per
+    value, the entry timestamp of the record that emitted it (the first
+    segment for single-segment paths, the last segment otherwise) — what
+    :func:`travel_times_over_shards` merges on across shards.
 
     Entries sharing a last edge share its sorted probe-key order: the
     group's probe targets are stacked and bounded with **one**
@@ -507,40 +505,6 @@ def probe_travel_times_many(
     ]
 
 
-def get_travel_times(
-    index: "IndexReader",
-    query: StrictPathQuery,
-    fallback_tt: Optional[Callable[[int], float]] = None,
-    exclude_ids: Sequence[int] = (),
-    isa_ranges: Optional[IsaRanges] = None,
-) -> TravelTimeResult:
-    """Procedure 5: retrieve ``X`` for ``spq(P, I, f, beta)``.
-
-    Accepts any :class:`~repro.sntindex.reader.IndexReader` and
-    dispatches through it — the monolithic index runs
-    :func:`monolithic_travel_times` below, a sharded index scatters the
-    procedure per shard and merges.
-
-    Parameters
-    ----------
-    index:
-        The index reader.
-    query:
-        The (sub-)query.
-    fallback_tt:
-        ``estimateTT`` callable for the speed-limit fallback on empty
-        single-segment results (Procedure 5 lines 12-13); usually
-        ``network.estimate_tt``.
-    exclude_ids:
-        Trajectory ids excluded from matching (used by the evaluation
-        workload to keep the query trajectory itself out of its answer).
-    """
-    return index.get_travel_times(
-        query,
-        fallback_tt=fallback_tt,
-        exclude_ids=exclude_ids,
-        isa_ranges=isa_ranges,
-    )
 
 
 def _classify_scan(
@@ -566,89 +530,189 @@ def _classify_scan(
     return None
 
 
-def monolithic_travel_times(
-    index: "SNTIndex",
-    query: StrictPathQuery,
-    fallback_tt: Optional[Callable[[int], float]] = None,
-    exclude_ids: Sequence[int] = (),
-    isa_ranges: Optional[IsaRanges] = None,
-) -> TravelTimeResult:
-    """Procedure 5 over one :class:`SNTIndex`'s own columns.
-
-    The implementation behind :meth:`SNTIndex.get_travel_times`; it
-    needs the raw per-segment columns, so sharded readers never reach
-    it directly — their router runs the two phases per shard instead.
-    """
-    matches = first_segment_matches(
-        index,
-        query,
-        exclude_ids=exclude_ids,
-        beta=query.beta,
-        isa_ranges=isa_ranges,
-    )
-    if matches is None:
-        selected: Int64Array = np.empty(0, dtype=np.int64)
-        columns: Optional[TraversalColumns] = None
-    else:
-        selected, columns = matches
-
-    n_matched = int(selected.size)
-    early = _classify_scan(query, n_matched, fallback_tt)
-    if early is not None:
-        return early
-    assert columns is not None
-    result, _ = probe_travel_times(index, query, selected, columns)
-    return TravelTimeResult(result, n_matched)
-
-
-def monolithic_travel_times_many(
-    index: "SNTIndex",
-    items: Sequence[Tuple[StrictPathQuery, Sequence[int],
-                          Optional[IsaRanges]]],
+def travel_times_over_shards(
+    shards: Sequence["SNTIndex"],
+    demands: Sequence[ShardDemand],
     fallback_tt: Optional[Callable[[int], float]] = None,
 ) -> List[TravelTimeResult]:
-    """Procedure 5 for a demand set over one index, scans grouped.
+    """Procedure 5 for a demand set over an ordered shard list.
 
-    ``items`` are ``(query, exclude_ids, isa_ranges)`` triples — the
-    deduplicated demand set of one batch-executor round.  Both phases
-    run through their grouped forms (:func:`first_segment_matches_many`,
-    :func:`probe_travel_times_many`) so queries sharing a first or last
-    edge share that edge's selection and join work; every per-query
-    decision (beta cut, insufficient/fallback classification) is
-    unchanged, making each result exactly what
-    :func:`monolithic_travel_times` answers for that item alone.
+    The one retrieval body: a monolithic index answers as the one-shard
+    list ``[index]``, a sharded router passes its shards in temporal
+    order with each demand routed to a subset of them.  Per demand:
+
+    1. the first-segment scan runs on every routed shard, grouped per
+       shard (:func:`first_segment_matches_many`), each chunk capped at
+       ``beta``;
+    2. the chunks are cut to the ``beta`` earliest entry times across
+       shards, and Procedure 5's insufficient/empty/fallback
+       classification applies to the global match count;
+    3. the surviving chunks are probed, grouped per shard
+       (:func:`probe_travel_times_many`), and merged on ``(entry time,
+       shard order)``.
+
+    Each shard's columns are a stable restriction of the monolithic
+    t-sorted columns, so the cut and the merge reproduce the monolithic
+    row order exactly.  A demand answered by one chunk is already in
+    that order and skips both.
+
+    A lone demand on a one-shard list — every round of a lone query on
+    a monolithic index — runs the same steps without the grouping
+    bookkeeping, which costs about a tenth of such a scan.
     """
-    matches = first_segment_matches_many(
-        index,
-        [
-            (query, exclude_ids, query.beta, isa_ranges)
-            for query, exclude_ids, isa_ranges in items
-        ],
-    )
-    results: List[Optional[TravelTimeResult]] = [None] * len(items)
-    probe_slots: List[int] = []
-    probe_entries: List[ProbeEntry] = []
-    matched_counts: List[int] = [0] * len(items)
-    for i, ((query, _, _), match) in enumerate(zip(items, matches)):
-        if match is None:
-            n_matched = 0
-        else:
-            selected, columns = match
-            n_matched = int(selected.size)
+    if len(demands) == 1 and len(shards) == 1:
+        query, exclude_ids, scans = demands[0]
+        match = (
+            first_segment_matches(
+                shards[0], query, exclude_ids, query.beta, scans[0][1]
+            )
+            if scans
+            else None
+        )
+        n_matched = 0 if match is None else int(match[0].size)
+        early = _classify_scan(query, n_matched, fallback_tt)
+        if early is not None:
+            return [early]
+        assert match is not None
+        values, _ = probe_travel_times_many(
+            shards[0], [(query, match[0], match[1])]
+        )[0]
+        return [TravelTimeResult(values, n_matched)]
+    n_demands = len(demands)
+    scan_items: List[List[MatchItem]] = [[] for _ in shards]
+    scan_owners: List[List[int]] = [[] for _ in shards]
+    for i, (query, exclude_ids, scans) in enumerate(demands):
+        for position, ranges in scans:
+            scan_items[position].append(
+                (query, exclude_ids, query.beta, ranges)
+            )
+            scan_owners[position].append(i)
+    chunks: List[List[Tuple[int, Int64Array, TraversalColumns]]] = [
+        [] for _ in range(n_demands)
+    ]
+    for position, shard in enumerate(shards):
+        if not scan_items[position]:
+            continue
+        for i, match in zip(
+            scan_owners[position],
+            first_segment_matches_many(shard, scan_items[position]),
+        ):
+            if match is not None and match[0].size:
+                chunks[i].append((position, match[0], match[1]))
+
+    results: List[Optional[TravelTimeResult]] = [None] * n_demands
+    matched_counts = [0] * n_demands
+    probe_entries: List[List[ProbeEntry]] = [[] for _ in shards]
+    probe_owners: List[List[int]] = [[] for _ in shards]
+    for i, (query, _, _) in enumerate(demands):
+        item_chunks = chunks[i]
+        sizes = [int(selected.size) for _, selected, _ in item_chunks]
+        n_matched = sum(sizes)
+        if len(item_chunks) > 1 and query.beta is not None and (
+            n_matched > query.beta
+        ):
+            # Keep the beta earliest entries across shards (Procedure 3's
+            # early termination, applied globally): each chunk keeps the
+            # prefix of its rows that the stable (t, shard) order takes.
+            stamps = np.concatenate(
+                [columns.t[selected] for _, selected, columns in item_chunks]
+            )
+            kept = np.argsort(stamps, kind="stable")[: query.beta]
+            bounds = np.cumsum([0] + sizes)
+            source = np.searchsorted(bounds, kept, side="right") - 1
+            keep_counts = np.bincount(source, minlength=len(item_chunks))
+            item_chunks = [
+                (position, selected[: int(keep_counts[k])], columns)
+                for k, (position, selected, columns) in enumerate(item_chunks)
+            ]
+            n_matched = int(query.beta)
         matched_counts[i] = n_matched
         early = _classify_scan(query, n_matched, fallback_tt)
         if early is not None:
             results[i] = early
             continue
-        assert match is not None
-        probe_slots.append(i)
-        probe_entries.append((query, match[0], match[1]))
-    for i, (values, _) in zip(
-        probe_slots, probe_travel_times_many(index, probe_entries)
-    ):
-        results[i] = TravelTimeResult(values, matched_counts[i])
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
+        for position, selected, columns in item_chunks:
+            if selected.size:
+                probe_entries[position].append((query, selected, columns))
+                probe_owners[position].append(i)
+
+    value_chunks: List[List[Float64Array]] = [[] for _ in range(n_demands)]
+    stamp_chunks: List[List[Int64Array]] = [[] for _ in range(n_demands)]
+    for position, shard in enumerate(shards):
+        if not probe_entries[position]:
+            continue
+        for i, (values, stamps) in zip(
+            probe_owners[position],
+            probe_travel_times_many(shard, probe_entries[position]),
+        ):
+            value_chunks[i].append(values)
+            stamp_chunks[i].append(stamps)
+    for i, result in enumerate(results):
+        if result is not None:
+            continue
+        if len(value_chunks[i]) == 1:
+            merged = value_chunks[i][0]
+        else:
+            merged = np.concatenate(value_chunks[i])[
+                np.argsort(np.concatenate(stamp_chunks[i]), kind="stable")
+            ]
+        results[i] = TravelTimeResult(merged, matched_counts[i])
+    return [result for result in results if result is not None]
+
+
+def count_matches_over_shards(
+    shards: Sequence["SNTIndex"],
+    path: Sequence[int],
+    interval: TimeInterval,
+    user: Optional[int] = None,
+    exclude_ids: Sequence[int] = (),
+    limit: Optional[int] = None,
+    on_scan: Optional[Callable[[int], None]] = None,
+) -> int:
+    """Exact strict-path match count over an ordered shard list.
+
+    Sums the first-segment match counts shard by shard and stops at
+    ``limit`` (early termination), so a shard after the one that reaches
+    it is never scanned; ``on_scan`` is told the list position of each
+    shard as it is scanned.  A monolithic index counts as ``[index]``.
+    """
+    query = StrictPathQuery(
+        path=tuple(path), interval=interval, user=user, beta=limit
+    )
+    total = 0
+    for position, shard in enumerate(shards):
+        if on_scan is not None:
+            on_scan(position)
+        matches = first_segment_matches(
+            shard, query, exclude_ids=exclude_ids, beta=limit
+        )
+        if matches is not None:
+            total += int(matches[0].size)
+        if limit is not None and total >= limit:
+            # Each shard's count is capped at limit; the sum can only
+            # overshoot it.
+            return int(limit)
+    return total
+
+
+def get_travel_times(
+    index: "IndexReader",
+    query: StrictPathQuery,
+    fallback_tt: Optional[Callable[[int], float]] = None,
+    exclude_ids: Sequence[int] = (),
+    isa_ranges: Optional[IsaRanges] = None,
+) -> TravelTimeResult:
+    """Procedure 5: retrieve ``X`` for ``spq(P, I, f, beta)``.
+
+    ``fallback_tt`` is ``estimateTT`` for the speed-limit fallback on
+    empty single-segment results (Procedure 5 lines 12-13), usually
+    ``network.estimate_tt``; ``exclude_ids`` keeps trajectories out of
+    the match (the evaluation workload excludes the query's own trip).
+    A demand set of one through the reader's grouped retrieval.
+    """
+    return index.get_travel_times_many(
+        [(query, exclude_ids, isa_ranges)], fallback_tt=fallback_tt
+    )[0]
 
 
 def count_matches(
@@ -663,35 +727,8 @@ def count_matches(
 
     Used by the longest-prefix splitter (``sigma_L``) and as the q-error
     ground truth ``n = |T|``.  ``limit`` caps the count (early
-    termination) when only a threshold comparison is needed.  Dispatches
-    through the :class:`~repro.sntindex.reader.IndexReader` surface, so
-    monolithic and sharded readers both work.
+    termination) when only a threshold comparison is needed.
     """
     return index.count_matches(
-        path,
-        interval,
-        user=user,
-        exclude_ids=exclude_ids,
-        limit=limit,
+        path, interval, user=user, exclude_ids=exclude_ids, limit=limit
     )
-
-
-def monolithic_count_matches(
-    index: "SNTIndex",
-    path: Sequence[int],
-    interval: TimeInterval,
-    user: Optional[int] = None,
-    exclude_ids: Sequence[int] = (),
-    limit: Optional[int] = None,
-) -> int:
-    """The count behind :meth:`SNTIndex.count_matches` (one index)."""
-    query = StrictPathQuery(
-        path=tuple(path), interval=interval, user=user, beta=limit
-    )
-    matches = first_segment_matches(
-        index, query, exclude_ids=exclude_ids, beta=limit
-    )
-    if matches is None:
-        return 0
-    selected, _ = matches
-    return int(selected.size)

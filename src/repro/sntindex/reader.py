@@ -1,20 +1,23 @@
 """The ``IndexReader`` protocol: what the query stack needs from an index.
 
-:class:`repro.core.engine.QueryEngine`, the cardinality estimator, and
-the batched service historically consumed :class:`SNTIndex` directly.
-This module names the surface they actually touch, so any structure that
-can answer these calls — the monolithic :class:`SNTIndex` or the
+This module names the surface :class:`repro.core.engine.QueryEngine`,
+its batch executor and the cardinality estimator touch, so any structure
+that can answer these calls — the monolithic :class:`SNTIndex` or the
 time-sliced :class:`repro.sntindex.sharded.ShardedSNTIndex` — plugs into
 the same engine unchanged:
 
-* the **spatial** side: per-partition ISA ranges of a path and the
-  derived traversal count (``getISARange``, Section 4.3.2);
+* the **spatial** side: per-partition ISA ranges of a path, one path
+  (:meth:`IndexReader.isa_ranges`) or a batch of them
+  (:meth:`IndexReader.isa_ranges_many`), and the derived traversal
+  count (``getISARange``, Section 4.3.2);
 * the **temporal** side: per-segment index statistics for the estimator
   (record counts, time bounds, exact range counts) via
   :meth:`IndexReader.edge_index`, and time-of-day selectivity via
   :attr:`IndexReader.tod_store`;
-* the **retrieval** side: Procedure 5 (:meth:`IndexReader.get_travel_times`)
-  and the exact match counter backing the ``sigma_L`` splitter
+* the **retrieval** side: Procedure 5 for a demand set
+  (:meth:`IndexReader.get_travel_times_many`; a single query is a set of
+  one, see :func:`repro.sntindex.procedures.get_travel_times`) and the
+  exact match counter backing the ``sigma_L`` splitter
   (:meth:`IndexReader.count_matches`);
 * the **user** container ``U: d -> u``;
 * scalar identity: ``t_min``/``t_max``, ``alphabet_size``, ``kind``,
@@ -31,6 +34,7 @@ monolithic index is a superset of that.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Callable,
     List,
     Optional,
@@ -39,6 +43,9 @@ from typing import (
     Tuple,
     runtime_checkable,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .procedures import TravelTimeItem, TravelTimeResult
 
 __all__ = ["EdgeStats", "IndexReader"]
 
@@ -85,6 +92,11 @@ class IndexReader(Protocol):
     def isa_ranges(self, path: Sequence[int]) -> List[Tuple[int, int, int]]:
         ...
 
+    def isa_ranges_many(
+        self, paths: Sequence[Sequence[int]]
+    ) -> List[List[Tuple[int, int, int]]]:
+        ...
+
     def path_traversal_count(self, path: Sequence[int]) -> int:
         ...
 
@@ -110,13 +122,11 @@ class IndexReader(Protocol):
 
     # -- retrieval ----------------------------------------------------- #
 
-    def get_travel_times(
+    def get_travel_times_many(
         self,
-        query,
+        items: Sequence["TravelTimeItem"],
         fallback_tt: Optional[Callable[[int], float]] = None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ):
+    ) -> List["TravelTimeResult"]:
         ...
 
     def count_matches(

@@ -28,8 +28,11 @@ monolithic ``SNTIndex`` built from the same corpus with the same
   in the same relative order.  Merging per-shard scan outputs on
   ``(entry time, shard order)`` with a stable sort therefore reproduces
   the monolithic row order exactly — including Procedure 3's ascending
-  entry-time ``beta`` cut, which the router applies globally across the
-  per-shard (already capped) prefixes.
+  entry-time ``beta`` cut, applied globally across the per-shard
+  (already capped) prefixes.  Both are steps of the one Procedure 5,
+  :func:`repro.sntindex.procedures.travel_times_over_shards`, which a
+  monolithic index runs as a one-shard list; the router adds routing,
+  partition-id translation and statistics around it.
 * **Additive statistics** — ISA range widths, CSS range counts, and
   time-of-day histograms are integer-exact per partition, so the
   estimator views (:class:`_ShardedEdgeStats`, :class:`_ShardedTodStore`)
@@ -62,8 +65,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..config import SECONDS_PER_DAY
 from ..core.intervals import is_periodic
 from ..forkpool import fork_map
@@ -88,9 +89,8 @@ from .persistence import (
 from .store import as_store
 from .procedures import (
     TravelTimeResult,
-    first_segment_matches_many,
-    monolithic_count_matches,
-    probe_travel_times_many,
+    count_matches_over_shards,
+    travel_times_over_shards,
 )
 
 __all__ = [
@@ -288,13 +288,16 @@ class _ShardedEdgeStats:
 
 
 class ShardRouter:
-    """Prunes, fans out, and merges retrieval over the shard set.
+    """Routes retrieval over the shard set.
 
     The router owns the ordered shard entries (sealed shards in temporal
     order, staging last — which is also global partition order), the
-    per-shard partition-id offsets, and the scan/prune statistics.
-    Merging is what keeps the answers bit-identical to the monolithic
-    index; see the module docstring for the argument.
+    per-shard partition-id offsets, and the scan/prune statistics.  It
+    prunes each query to the shards its interval can touch and
+    translates ISA ranges into shard-local partition ids; the scans,
+    the global ``beta`` cut and the merge that keep answers
+    bit-identical to the monolithic index are the shard-list procedures
+    of :mod:`repro.sntindex.procedures`.
     """
 
     def __init__(self, entries: Sequence[_ShardEntry]):
@@ -394,6 +397,8 @@ class ShardRouter:
         return results
 
     def _local_ranges(self, ranges, position: int):
+        if len(self.entries) == 1:
+            return ranges  # one shard: global ids are its local ids
         offset = self.offsets[position]
         count = self.entries[position].index.n_partitions
         return [
@@ -402,172 +407,32 @@ class ShardRouter:
             if offset <= w < offset + count
         ]
 
-    def get_travel_times(
-        self,
-        query,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ) -> TravelTimeResult:
-        """Procedure 5 scattered over the shards and merged exactly."""
-        return self.get_travel_times_many(
-            [(query, exclude_ids, isa_ranges)], fallback_tt=fallback_tt
-        )[0]
-
     def get_travel_times_many(
         self,
         items: Sequence[Tuple],
         fallback_tt=None,
     ) -> List[TravelTimeResult]:
-        """Procedure 5 for a set of independent sub-queries, with the
-        per-shard scans grouped.
-
-        ``items`` are ``(query, exclude_ids, isa_ranges)`` triples — the
-        deduplicated demand set of one batch-executor round.  Both scan
-        phases walk the shards in the outer loop and the routed queries
-        in the inner loop, so each shard's columns are visited
-        contiguously for the whole set instead of once per query; every
-        per-query decision (global beta cut, the insufficient/fallback
-        classification, the ``(t, shard)`` merge) is unchanged, so each
-        returned result is exactly what :meth:`get_travel_times` answers
-        for that item alone.
-        """
-        n_items = len(items)
-        routed: List[List[int]] = []
-        for query, _, _ in items:
+        """Procedure 5 for ``(query, exclude_ids, isa_ranges)`` items:
+        each item is routed, its ISA ranges are translated into each
+        routed shard's partition ids, and the shard list answers the set
+        (:func:`repro.sntindex.procedures.travel_times_over_shards`)."""
+        demands = []
+        for query, exclude_ids, isa_ranges in items:
             positions = self.route(query.interval)
             self._record_dispatch(len(positions))
-            routed.append(positions)
-        by_position: Dict[int, List[int]] = {}
-        for item_index, positions in enumerate(routed):
+            scans = []
             for position in positions:
-                by_position.setdefault(position, []).append(item_index)
-
-        # Phase 1, grouped: per-shard first-segment matches (each capped
-        # at beta; the global cut below only ever keeps a prefix of
-        # each).  Ascending shard order per query — the same order the
-        # per-query loop produced — so each query's chunk list is still
-        # its routed prefix order.  Within a shard the routed queries go
-        # through the grouped scan, sharing each first edge's interval
-        # selection and ISA-bound table.
-        per_shard: List[List[Tuple[int, np.ndarray, object]]] = [
-            [] for _ in range(n_items)
-        ]
-        for position in sorted(by_position):
-            entry = self.entries[position]
-            shard_items = []
-            for item_index in by_position[position]:
-                query, exclude_ids, isa_ranges = items[item_index]
                 self._record_scan(position)
-                local = (
+                scans.append((
+                    position,
                     self._local_ranges(isa_ranges, position)
                     if isa_ranges is not None
-                    else None
-                )
-                shard_items.append((query, exclude_ids, query.beta, local))
-            matches_list = first_segment_matches_many(
-                entry.index, shard_items
-            )
-            for item_index, matches in zip(
-                by_position[position], matches_list
-            ):
-                if matches is None:
-                    continue
-                selected, columns = matches
-                if selected.size:
-                    per_shard[item_index].append(
-                        (position, selected, columns)
-                    )
-
-        # Phase 2, per query: the global ascending-entry-time beta cut
-        # and the insufficient/empty/fallback classification.  The merge
-        # key is (t, shard order), matching the monolithic column order
-        # because each shard is a stable restriction of it.
-        empty = np.empty(0, dtype=np.float64)
-        results: List[Optional[TravelTimeResult]] = [None] * n_items
-        matched_counts = [0] * n_items
-        for item_index, (query, _, _) in enumerate(items):
-            chunks = per_shard[item_index]
-            sizes = [int(selected.size) for _, selected, _ in chunks]
-            total = sum(sizes)
-            if query.beta is not None and total > query.beta:
-                stamps = np.concatenate(
-                    [columns.t[selected] for _, selected, columns in chunks]
-                )
-                kept = np.argsort(stamps, kind="stable")[: query.beta]
-                bounds = np.cumsum([0] + sizes)
-                source = np.searchsorted(bounds, kept, side="right") - 1
-                keep_counts = np.bincount(source, minlength=len(chunks))
-                per_shard[item_index] = [
-                    (position, selected[: int(keep_counts[i])], columns)
-                    for i, (position, selected, columns) in enumerate(chunks)
-                ]
-                n_matched = int(query.beta)
-            else:
-                n_matched = total
-            matched_counts[item_index] = n_matched
-
-            if (
-                query.beta is not None
-                and n_matched < query.beta
-                and is_periodic(query.interval)
-            ):
-                # Procedure 5 line 7, applied to the global match count.
-                results[item_index] = TravelTimeResult(
-                    empty, n_matched, insufficient=True
-                )
-            elif n_matched == 0:
-                if query.length == 1 and fallback_tt is not None:
-                    estimate = np.asarray([fallback_tt(query.path[0])])
-                    results[item_index] = TravelTimeResult(
-                        estimate, 0, from_fallback=True
-                    )
-                else:
-                    results[item_index] = TravelTimeResult(empty, 0)
-
-        # Phase 3, grouped: per-shard map/probe for the queries still
-        # open, merged per query on (entry time, shard).  Each probe
-        # entry carries its chunk, so the shard-grouped walk stays
-        # linear in the total chunk count.
-        value_chunks: List[List[np.ndarray]] = [[] for _ in range(n_items)]
-        stamp_chunks: List[List[np.ndarray]] = [[] for _ in range(n_items)]
-        probes: Dict[int, List[Tuple[int, np.ndarray, object]]] = {}
-        for item_index in range(n_items):
-            if results[item_index] is not None:
-                continue
-            for position, selected, columns in per_shard[item_index]:
-                if selected.size:
-                    probes.setdefault(position, []).append(
-                        (item_index, selected, columns)
-                    )
-        for position in sorted(probes):
-            entry = self.entries[position]
-            outputs = probe_travel_times_many(
-                entry.index,
-                [
-                    (items[item_index][0], selected, columns)
-                    for item_index, selected, columns in probes[position]
-                ],
-            )
-            for (item_index, _, _), (values, stamps) in zip(
-                probes[position], outputs
-            ):
-                value_chunks[item_index].append(values)
-                stamp_chunks[item_index].append(stamps)
-
-        for item_index in range(n_items):
-            if results[item_index] is not None:
-                continue
-            n_matched = matched_counts[item_index]
-            if not value_chunks[item_index]:
-                results[item_index] = TravelTimeResult(empty, n_matched)
-                continue
-            values = np.concatenate(value_chunks[item_index])
-            stamps = np.concatenate(stamp_chunks[item_index])
-            merged = values[np.argsort(stamps, kind="stable")]
-            results[item_index] = TravelTimeResult(merged, n_matched)
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+                    else None,
+                ))
+            demands.append((query, exclude_ids, scans))
+        return travel_times_over_shards(
+            [entry.index for entry in self.entries], demands, fallback_tt
+        )
 
     def count_matches(
         self,
@@ -579,24 +444,17 @@ class ShardRouter:
     ) -> int:
         routed = self.route(interval)
         self._record_dispatch(len(routed))
-        total = 0
-        for position in routed:
-            # Record per shard as it is scanned: the limit early-return
-            # below must not claim scans on shards it never reached.
-            self._record_scan(position)
-            total += monolithic_count_matches(
-                self.entries[position].index,
-                path,
-                interval,
-                user=user,
-                exclude_ids=exclude_ids,
-                limit=limit,
-            )
-            if limit is not None and total >= limit:
-                # The monolithic counter early-terminates at ``limit``;
-                # summing per-shard capped counts can only overshoot it.
-                return int(limit)
-        return int(total)
+        # Scans are recorded as the count reaches each shard: the limit
+        # early exit must not claim scans on shards it never reached.
+        return count_matches_over_shards(
+            [self.entries[position].index for position in routed],
+            path,
+            interval,
+            user,
+            exclude_ids,
+            limit,
+            on_scan=lambda k: self._record_scan(routed[k]),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -1041,27 +899,12 @@ class ShardedSNTIndex:
 
     # -- IndexReader: retrieval ----------------------------------------- #
 
-    def get_travel_times(
-        self,
-        query,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ) -> TravelTimeResult:
-        return self._router.get_travel_times(
-            query,
-            fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
-        )
-
     def get_travel_times_many(
         self,
         items: Sequence[Tuple],
         fallback_tt=None,
     ) -> List[TravelTimeResult]:
-        """Procedure 5 for a deduplicated demand set, with the per-shard
-        scans grouped so each shard is walked contiguously (see
+        """Procedure 5 for a deduplicated demand set (see
         :meth:`ShardRouter.get_travel_times_many`)."""
         return self._router.get_travel_times_many(
             items, fallback_tt=fallback_tt

@@ -1,7 +1,7 @@
 """Property tests: bulk rank primitives must match their scalar oracles.
 
 The vectorized paths (``RankBitvector.rank1_bulk``,
-``WaveletTree.rank_pair_bulk``, ``FMIndex.isa_ranges``) exist purely for
+``FMIndex.isa_ranges``) exist purely for
 throughput — every answer they produce must be bit-identical to the
 scalar code they shadow.  Hypothesis drives random bit patterns, texts,
 and position sets through both paths, with explicit coverage for the
@@ -23,7 +23,7 @@ BLOCK_BITS = WORD_BITS * WORDS_PER_BLOCK
 
 
 # ---------------------------------------------------------------------------
-# RankBitvector.rank1_bulk / rank0_bulk
+# RankBitvector.rank1_bulk
 # ---------------------------------------------------------------------------
 
 
@@ -40,12 +40,9 @@ def test_rank1_bulk_matches_scalar(bits, data):
         )
     )
     got1 = bv.rank1_bulk(positions)
-    got0 = bv.rank0_bulk(positions)
-    for pos, r1, r0 in zip(positions.tolist(), got1.tolist(), got0.tolist()):
+    for pos, r1 in zip(positions.tolist(), got1.tolist()):
         assert r1 == bv.rank1(pos)
-        assert r0 == bv.rank0(pos)
     assert got1.dtype == np.int64
-    assert got0.dtype == np.int64
 
 
 @given(n_blocks=st.integers(0, 3), data=st.data())
@@ -74,7 +71,6 @@ def test_rank_bulk_empty_bitvector():
     bv = RankBitvector([])
     assert bv.rank1_bulk(np.empty(0, dtype=np.int64)).tolist() == []
     assert bv.rank1_bulk(np.zeros(4, dtype=np.int64)).tolist() == [0, 0, 0, 0]
-    assert bv.rank0_bulk(np.zeros(2, dtype=np.int64)).tolist() == [0, 0]
 
 
 def test_rank_bulk_empty_positions_short_circuits_dtype_check():
@@ -95,51 +91,6 @@ def test_rank_bulk_rejects_bad_inputs():
         bv.rank1_bulk(np.array([5]))
     with pytest.raises(IndexError):
         bv.rank1_bulk(np.array([-1]))
-
-
-# ---------------------------------------------------------------------------
-# WaveletTree.rank_pair_bulk
-# ---------------------------------------------------------------------------
-
-ABSENT_SYMBOL = 9_999
-
-
-@given(
-    text=st.lists(st.integers(0, 6), max_size=200),
-    data=st.data(),
-)
-@settings(max_examples=120, deadline=None)
-def test_rank_pair_bulk_matches_scalar(text, data):
-    wt = WaveletTree(text)
-    n_pairs = data.draw(st.integers(0, 50))
-    symbol = data.draw(
-        st.sampled_from(sorted(set(text)) + [ABSENT_SYMBOL]) if text
-        else st.just(ABSENT_SYMBOL)
-    )
-    lo = data.draw(
-        st.lists(
-            st.integers(0, len(text)), min_size=n_pairs, max_size=n_pairs
-        )
-    )
-    hi = [data.draw(st.integers(value, len(text))) for value in lo]
-    i_arr = np.asarray(lo, dtype=np.int64)
-    j_arr = np.asarray(hi, dtype=np.int64)
-    got_i, got_j = wt.rank_pair_bulk(symbol, i_arr, j_arr)
-    for k in range(n_pairs):
-        assert (got_i[k], got_j[k]) == wt.rank_pair(symbol, lo[k], hi[k])
-
-
-def test_rank_pair_bulk_empty_inputs():
-    wt = WaveletTree([0, 1, 2, 1])
-    empty = np.empty(0, dtype=np.int64)
-    got_i, got_j = wt.rank_pair_bulk(1, empty, empty)
-    assert got_i.size == 0 and got_j.size == 0
-
-
-def test_rank_pair_bulk_length_mismatch_rejected():
-    wt = WaveletTree([0, 1, 2, 1])
-    with pytest.raises(TypeError):
-        wt.rank_pair_bulk(1, np.array([0, 1]), np.array([2]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ for arbitrary inputs, not just the worked example:
 * support bounds add: ``(H1*H2)^min = H1^min + H2^min`` and likewise for
   ``max``;
 * convolution is commutative and associative within float tolerance;
-* ``QueryEngine._convolve`` handles the empty-outcomes edge case.
+* ``convolve_histograms`` (the combine stage) handles the
+  empty-outcomes edge case.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Histogram
-from repro.core.engine import QueryEngine
+from repro.core.exec import convolve_histograms
 
 BUCKET_WIDTH = 10.0
 
@@ -114,47 +115,25 @@ def test_width_mismatch_rejected():
 
 
 class TestEngineConvolve:
-    """The empty-outcomes edge case of ``QueryEngine._convolve``."""
+    """The engine's combine stage, ``convolve_histograms``, on edge
+    cases: no outcomes, one outcome, many factors."""
 
-    @pytest.fixture(scope="class")
-    def engine(self):
-        from repro import SNTIndex
-        from repro.trajectories import (
-            Trajectory,
-            TrajectoryPoint,
-            TrajectorySet,
-        )
-        from tests.paper_vectors import TRAJECTORIES
-
-        trajectories = TrajectorySet(
-            [
-                Trajectory(d, u, [TrajectoryPoint(*p) for p in seq])
-                for d, u, seq in TRAJECTORIES
-            ]
-        )
-        from repro import EngineConfig
-
-        index = SNTIndex.build(trajectories, alphabet_size=7)
-        return QueryEngine(
-            index, network=None, config=EngineConfig(bucket_width_s=BUCKET_WIDTH)
-        )
-
-    def test_no_outcomes_yields_empty_histogram(self, engine):
-        result = engine._convolve([])
+    def test_no_outcomes_yields_empty_histogram(self):
+        result = convolve_histograms([], BUCKET_WIDTH)
         assert result.is_empty()
         assert result.counts.size == 0
         assert result.bucket_width == BUCKET_WIDTH
 
-    def test_single_outcome_is_unit_normalised(self, engine):
+    def test_single_outcome_is_unit_normalised(self):
         h = Histogram(BUCKET_WIDTH, 3, [2.0, 6.0])
-        result = engine._convolve([h])
+        result = convolve_histograms([h], BUCKET_WIDTH)
         assert result.total == pytest.approx(1.0)
         assert result.offset == 3
         np.testing.assert_allclose(result.counts, [0.25, 0.75])
 
-    def test_many_factors_keep_unit_mass(self, engine):
+    def test_many_factors_keep_unit_mass(self):
         factors = [Histogram(BUCKET_WIDTH, i, [1.0, 1.0]) for i in range(30)]
-        result = engine._convolve(factors)
+        result = convolve_histograms(factors, BUCKET_WIDTH)
         # Raw count convolution would be 2**30; normalisation keeps mass 1.
         assert result.total == pytest.approx(1.0, rel=1e-9)
         assert result.min_value == pytest.approx(

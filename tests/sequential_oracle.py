@@ -2,13 +2,14 @@
 
 The equivalence suites compare every answer path against this loop: one
 trip at a time, one :class:`~repro.core.exec.TripMachine`, every demand
-answered by the reader's own ``get_travel_times`` and fed straight back,
-no shared cache.  It shares the planner with the program but none of the
-executor — no rounds, no grouping of demands, no deduplication — so it
-checks the one execution path instead of re-running it.
+answered by the public per-query ``repro.get_travel_times`` and fed
+straight back, no shared cache.  It shares the planner with the program
+but none of the executor — no rounds, no grouping of demands, no
+deduplication — so it checks the one execution path instead of
+re-running it.
 """
 
-from repro import QueryEngine, TripRequest
+from repro import QueryEngine, TripRequest, get_travel_times
 from repro.core.engine import PerTripCache
 from repro.core.exec import TripMachine
 
@@ -26,7 +27,8 @@ def sequential_query(engine, request):
     )
     demand = machine.advance()
     while demand is not None:
-        answer = engine.index.get_travel_times(
+        answer = get_travel_times(
+            engine.index,
             demand.task.query,
             fallback_tt=engine.network.estimate_tt,
             exclude_ids=demand.task.exclude_ids,

@@ -77,7 +77,7 @@ def test_batched_cached_equals_sequential(
     queries, exclude_ids = jobs
     config = EngineConfig(partitioner=partitioner, splitter=splitter)
     # The oracle runs uncached (per-trip range cache only);
-    # config.cache_enabled only matters to session layers.
+    # config.cache only matters to session layers.
     engine = QueryEngine(workload.index, workload.network, config)
     sequential = [
         sequential_trip(engine, query, exclude_ids=excluded)

@@ -155,7 +155,7 @@ def test_cache_spec_resolution(world, tmp_path):
     assert resolve_cache_backend(EngineConfig(cache="off"), index) is None
     assert (
         resolve_cache_backend(
-            EngineConfig(cache_enabled=False), index
+            EngineConfig(cache="off"), index
         )
         is None
     )
@@ -670,7 +670,7 @@ class TestSharedTierTTL:
         requests = requests_for(trips, 3)
         baseline = TravelTimeDB(
             index, dataset.network,
-            config=EngineConfig(cache_enabled=False),
+            config=EngineConfig(cache="off"),
         ).query_many(requests)
         spec = EngineConfig(
             cache=f"shared:{tmp_path / 'tier'}", cache_ttl_s=3600.0

@@ -20,6 +20,7 @@ from repro import (
     SNTIndex,
     StrictPathQuery,
     generate_dataset,
+    get_travel_times,
 )
 from repro.errors import IndexFormatError, PersistenceError
 from repro.sntindex.migrate import migrate_index_dir
@@ -134,8 +135,8 @@ def _assert_answers_match(mono, loaded, trips):
     for trip in trips[:15]:
         for iv in (interval, PeriodicInterval.around(trip.start_time, 900)):
             query = StrictPathQuery(path=trip.path[:3], interval=iv)
-            expected = mono.get_travel_times(query)
-            actual = loaded.get_travel_times(query)
+            expected = get_travel_times(mono, query)
+            actual = get_travel_times(loaded, query)
             assert np.array_equal(
                 np.asarray(expected.values), np.asarray(actual.values)
             )

@@ -21,15 +21,16 @@ from repro import (
     PeriodicInterval,
     SNTIndex,
     StrictPathQuery,
+    get_travel_times,
 )
 from repro.config import SECONDS_PER_DAY
+from repro.core.intervals import is_periodic
 from repro.sntindex.persistence import FORMAT_MINOR, read_meta
 from repro.sntindex.procedures import (
+    TravelTimeResult,
     first_segment_matches,
     first_segment_matches_many,
-    monolithic_travel_times,
-    monolithic_travel_times_many,
-    probe_travel_times,
+    probe_travel_times_many,
 )
 from repro.sntindex.sharded import ShardedSNTIndex
 from repro.temporal.forest import EdgeTemporalIndex
@@ -74,6 +75,35 @@ def dict_probe_oracle(index, query, selected, columns):
         np.asarray(values, dtype=np.float64),
         np.asarray(order_t, dtype=np.int64),
     )
+
+
+def scalar_travel_times(index, query, fallback_tt=None, exclude_ids=()):
+    """Per-item Procedure 5 over one index: the scalar first-segment
+    scan, Procedure 5's classification, and the dict probe above."""
+    matches = first_segment_matches(
+        index, query, exclude_ids=exclude_ids, beta=query.beta
+    )
+    n_matched = 0 if matches is None else int(matches[0].size)
+    empty = np.empty(0, dtype=np.float64)
+    if (
+        query.beta is not None
+        and n_matched < query.beta
+        and is_periodic(query.interval)
+    ):
+        return TravelTimeResult(empty, n_matched, insufficient=True)
+    if n_matched == 0:
+        if query.length == 1 and fallback_tt is not None:
+            estimate = np.asarray([fallback_tt(query.path[0])])
+            return TravelTimeResult(estimate, 0, from_fallback=True)
+        return TravelTimeResult(empty, 0)
+    selected, columns = matches
+    values, _ = dict_probe_oracle(index, query, selected, columns)
+    return TravelTimeResult(values, n_matched)
+
+
+def probe_one(index, query, selected, columns):
+    """The grouped probe over a demand set of one."""
+    return probe_travel_times_many(index, [(query, selected, columns)])[0]
 
 
 def mod_periodic_oracle(tod, start_tod, duration):
@@ -198,7 +228,7 @@ def test_probe_join_matches_dict_oracle(trajectories, query):
     if matches is None:
         return
     selected, columns = matches
-    got_values, got_t = probe_travel_times(index, query, selected, columns)
+    got_values, got_t = probe_one(index, query, selected, columns)
     want_values, want_t = dict_probe_oracle(index, query, selected, columns)
     assert got_values.tobytes() == want_values.tobytes()
     assert np.array_equal(got_t, want_t)
@@ -246,7 +276,7 @@ def test_probe_join_keeps_last_duplicate_key():
         path=(1, 2), interval=FixedInterval(0, SECONDS_PER_DAY)
     )
     selected = np.asarray([0, 1, 2], dtype=np.int64)
-    got_values, got_t = probe_travel_times(index, query, selected, first)
+    got_values, got_t = probe_one(index, query, selected, first)
     want_values, want_t = dict_probe_oracle(index, query, selected, first)
     assert got_values.tobytes() == want_values.tobytes()
     assert np.array_equal(got_t, want_t)
@@ -289,7 +319,7 @@ def test_probe_join_duplicate_key_uses_latest_diff():
         path=(1, 2), interval=FixedInterval(0, SECONDS_PER_DAY)
     )
     selected = np.asarray([0, 1], dtype=np.int64)
-    got_values, got_t = probe_travel_times(index, query, selected, first)
+    got_values, got_t = probe_one(index, query, selected, first)
     want_values, want_t = dict_probe_oracle(index, query, selected, first)
     assert got_values.tolist() == [4.0]  # 9.0 - 5.0, the later diff
     assert got_values.tobytes() == want_values.tobytes()
@@ -415,9 +445,9 @@ def test_grouped_monolithic_matches_scalar_loop(trajectories, demands, data):
     demands = with_shared_first_edge(data, trajectories, demands)
     index = SNTIndex.build(trajectories, alphabet_size=N_EDGES + 1)
     items = [(query, exclude, None) for query, exclude in demands]
-    got = monolithic_travel_times_many(index, items, fallback_tt=_fallback)
+    got = index.get_travel_times_many(items, fallback_tt=_fallback)
     for (query, exclude), result in zip(demands, got):
-        want = monolithic_travel_times(
+        want = scalar_travel_times(
             index, query, fallback_tt=_fallback, exclude_ids=exclude
         )
         assert_results_identical(result, want)
@@ -447,9 +477,11 @@ def test_grouped_first_segment_matches_scalar(trajectories, demands, data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(trajectory_sets(), demand_sets())
+@given(
+    trajectory_sets(), demand_sets(), st.sampled_from([1, 2, 4]), st.data()
+)
 def test_grouped_sharded_matches_scalar_and_monolithic(
-    trajectories, demands
+    trajectories, demands, n_shards, data
 ):
     monolithic = SNTIndex.build(
         trajectories, alphabet_size=N_EDGES + 1, partition_days=1
@@ -457,18 +489,34 @@ def test_grouped_sharded_matches_scalar_and_monolithic(
     sharded = ShardedSNTIndex.build(
         trajectories,
         alphabet_size=N_EDGES + 1,
-        n_shards=2,
+        n_shards=n_shards,
         partition_days=1,
     )
-    items = [(query, exclude, None) for query, exclude in demands]
+    # Some items bring their global ISA ranges (as the executor does),
+    # so the router's partition-id translation runs; the rest resolve
+    # them shard by shard.
+    items = [
+        (
+            query,
+            exclude,
+            sharded.isa_ranges(query.path)
+            if data.draw(st.booleans(), label="ranges given")
+            else None,
+        )
+        for query, exclude in demands
+    ]
     got = sharded.get_travel_times_many(items, fallback_tt=_fallback)
-    for (query, exclude), result in zip(demands, got):
-        scalar = sharded.get_travel_times(
-            query, fallback_tt=_fallback, exclude_ids=exclude
+    for (query, exclude, ranges), result in zip(items, got):
+        scalar = get_travel_times(
+            sharded,
+            query,
+            fallback_tt=_fallback,
+            exclude_ids=exclude,
+            isa_ranges=ranges,
         )
         assert_results_identical(result, scalar)
-        want = monolithic.get_travel_times(
-            query, fallback_tt=_fallback, exclude_ids=exclude
+        want = scalar_travel_times(
+            monolithic, query, fallback_tt=_fallback, exclude_ids=exclude
         )
         assert_results_identical(result, want)
 
@@ -530,8 +578,8 @@ def test_v21_dir_adopts_permutations_zero_copy(tmp_path):
 
     loaded = SNTIndex.load(target)
     for query in _some_queries():
-        want = index.get_travel_times(query)
-        got = loaded.get_travel_times(query)
+        want = get_travel_times(index, query)
+        got = get_travel_times(loaded, query)
         assert_results_identical(got, want)
     # Any traversed edge adopted both orders from the mapped payload.
     edge = next(iter(loaded.forest.edges()))
@@ -552,8 +600,8 @@ def test_v20_dir_without_permutations_still_answers(tmp_path):
 
     loaded = SNTIndex.load(target)
     for query in _some_queries():
-        want = index.get_travel_times(query)
-        got = loaded.get_travel_times(query)
+        want = get_travel_times(index, query)
+        got = get_travel_times(loaded, query)
         assert_results_identical(got, want)
     edge = next(iter(loaded.forest.edges()))
     phi = loaded.forest.get(edge)

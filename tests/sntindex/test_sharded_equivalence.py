@@ -506,18 +506,6 @@ def test_foreign_shard_in_manifest_rejected(world, tmp_path):
         load_any_index(target)
 
 
-def test_spawn_empty_copies_cache_bounds():
-    cache = SubQueryCache(max_ranges=7, max_results=5, max_histograms=3)
-    fresh = cache.spawn_empty()
-    stats = fresh.stats()
-    assert (
-        stats.ranges.max_size,
-        stats.results.max_size,
-        stats.histograms.max_size,
-    ) == (7, 5, 3)
-    assert stats.ranges.size == 0
-
-
 def test_cache_sync_epoch_clears_sections():
     class FakeIndex:
         epoch = 0
